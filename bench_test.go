@@ -270,6 +270,82 @@ func BenchmarkEvictionPolicies(b *testing.B) {
 	}
 }
 
+// selectClassDocs renders n documents of one class of the request-path
+// benchmark's personalized catalog site (about 36 KB each: a shared 30 KB
+// template, 4 KB per item, 1.5 KB of churn, a per-user block).
+func selectClassDocs(b *testing.B, n int) [][]byte {
+	site := origin.NewSite(origin.Config{
+		Host:          "www.select.com",
+		Depts:         []origin.Dept{{Name: "dept0", Items: 8}},
+		TemplateBytes: 30000,
+		ItemBytes:     4000,
+		ChurnBytes:    1500,
+		Personalized:  true,
+		Seed:          7,
+	})
+	docs := make([][]byte, n)
+	for i := range docs {
+		doc, err := site.Render("dept0", i%8, fmt.Sprintf("user%d", i), i/8)
+		if err != nil {
+			b.Fatal(err)
+		}
+		docs[i] = doc
+	}
+	return docs
+}
+
+// BenchmarkEstimate times one light-Vdelta estimate between two same-class
+// documents: plain (index the base, then scan) and against a prebuilt index.
+func BenchmarkEstimate(b *testing.B) {
+	docs := selectClassDocs(b, 2)
+	base, target := docs[0], docs[1]
+	est := vdelta.NewEstimator()
+	var size int
+	b.Run("plain", func(b *testing.B) {
+		b.SetBytes(int64(len(target)))
+		for n := 0; n < b.N; n++ {
+			size = est.Estimate(base, target)
+		}
+		b.ReportMetric(float64(size), "estB")
+	})
+	b.Run("indexed", func(b *testing.B) {
+		ix := est.Index(base)
+		defer est.Release(ix)
+		b.SetBytes(int64(len(target)))
+		b.ResetTimer()
+		for n := 0; n < b.N; n++ {
+			size = est.EstimateIndexed(ix, base, target)
+		}
+		b.ReportMetric(float64(size), "estB")
+	})
+}
+
+// BenchmarkSelectorAdmit times one sample admission into a full store
+// (K = 8: 2K estimates, one eviction) for each eviction policy, in
+// synchronous mode so the admission is the whole of Observe.
+func BenchmarkSelectorAdmit(b *testing.B) {
+	docs := selectClassDocs(b, 64)
+	for _, policy := range []basefile.EvictionPolicy{
+		basefile.EvictWorst, basefile.EvictPeriodicRandom, basefile.EvictTwoSet,
+	} {
+		b.Run(policy.String(), func(b *testing.B) {
+			s := basefile.NewSelector(basefile.Config{
+				SampleProb: 1, MaxSamples: 8, Eviction: policy, Seed: 7,
+				RebaseTimeout: time.Hour,
+			})
+			now := time.Unix(0, 0)
+			for _, doc := range docs[:16] {
+				s.Observe(doc, now)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for n := 0; n < b.N; n++ {
+				s.Observe(docs[n%len(docs)], now)
+			}
+		})
+	}
+}
+
 // BenchmarkPError evaluates the Section IV selection-error bound at the
 // paper's operating point.
 func BenchmarkPError(b *testing.B) {

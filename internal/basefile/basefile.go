@@ -58,11 +58,6 @@ func (p EvictionPolicy) String() string {
 	}
 }
 
-// DeltaSizeFunc measures the size, in bytes, of the delta that transforms
-// base into doc. The selector only compares these values, so a cheap
-// estimate (the light Vdelta variant) works well.
-type DeltaSizeFunc func(base, doc []byte) int
-
 // Config parametrizes a Selector. The zero value is usable: defaults match
 // the paper's experiments (p=0.2, K=8).
 type Config struct {
@@ -83,9 +78,6 @@ type Config struct {
 	// RandomEvictEvery applies to EvictPeriodicRandom: every n-th eviction
 	// removes a random document instead of the worst. Default 4.
 	RandomEvictEvery int
-	// DeltaSize measures candidate quality. Default: the light Vdelta
-	// estimator (vdelta.Estimator with default settings).
-	DeltaSize DeltaSizeFunc
 	// OnStoredBytes, when set, is called with the signed change in the
 	// selector's resident document bytes — the working base plus stored
 	// candidate and reference samples — whenever that footprint changes.
@@ -96,11 +88,13 @@ type Config struct {
 	// per sample) off the calling goroutine, as the paper prescribes:
 	// "this calculation can be done offline" (Section IV). Observe then
 	// reports Sampled but admission outcomes (evictions, group-rebases)
-	// surface on later calls. Use Quiesce in tests to drain pending work.
+	// surface on later calls. At most one admission runs and one waits per
+	// selector; a sample that finds both slots taken is dropped
+	// (Stats.SamplesDropped). Use Quiesce in tests to drain pending work.
 	AsyncSampling bool
 	// AfterAsyncAdmit, when set with AsyncSampling, runs on the admission
-	// goroutine after each asynchronous admission completes and the
-	// selector's lock is released. An async admission installs document
+	// goroutine after each asynchronous admission completes, with none of
+	// the selector's locks held. An async admission installs document
 	// bytes after the request that sampled them has finished its own store
 	// maintenance, so the store layer uses this hook to re-enforce its
 	// memory budget. Unlike OnStoredBytes it may call back into the
@@ -139,10 +133,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RandomEvictEvery <= 0 {
 		c.RandomEvictEvery = 4
-	}
-	if c.DeltaSize == nil {
-		est := vdelta.NewEstimator()
-		c.DeltaSize = func(base, doc []byte) int { return est.Estimate(base, doc) }
 	}
 	if c.VersionStride <= 0 {
 		c.VersionStride = 1
@@ -184,36 +174,76 @@ type Strategy interface {
 	Base() ([]byte, int)
 }
 
-// sample is a stored base-file candidate plus its deltas against the
-// reference documents (for EvictTwoSet the reference set; otherwise the
-// other stored candidates).
+// sample is a stored document: a base-file candidate, a reference document
+// (for EvictTwoSet the reference set; otherwise the candidates themselves),
+// or both.
 type sample struct {
 	doc []byte
 	tag string // opaque caller tag (e.g. the requesting user), for anonymization
+	seq uint64 // identity within this selector; never reused
 }
 
+// admission is one sampled document on its way into the sample store.
+type admission struct {
+	doc []byte // the selector's own copy
+	tag string
+	now time.Time // the sampling request's clock, for the rebase-timeout
+	gen uint64    // the set generation the document was sampled in
+}
+
+// lightDelta is the light Vdelta estimator every selector and baseline
+// scores with; it is immutable apart from its scratch pool, so sharing it
+// shares the pooled indexes across classes.
+var lightDelta = vdelta.NewEstimator()
+
 // Selector implements the randomized online algorithm of Section IV.
-// It is safe for concurrent use; the read-only accessors (Base, BaseTag,
-// Stats) take only a read lock, so they never queue behind each other —
-// only behind Observe's candidate bookkeeping.
+// It is safe for concurrent use.
+//
+// Two locks split the work. mu guards the state and is only ever held for
+// bookkeeping — never across a delta estimate — so Base, BaseTag, Stats
+// and an un-sampled Observe cost a few loads. admitMu serializes sample
+// admissions: each one scores the new document against a snapshot of the
+// stored sets with mu released (the 2K estimates), then commits the result
+// under mu. The stored documents are immutable and the sets are edited in
+// place only by a commit, so the snapshot is stable for the admission that
+// took it; every other mutation replaces the sets wholesale and bumps gen,
+// and a sample taken under an older generation — scored against sets that
+// are gone, or still waiting its turn when they went — is discarded, so
+// nothing sampled before a flush, prune or eviction outlives it.
 type Selector struct {
 	cfg Config
+	est *vdelta.Estimator
 
-	mu          sync.RWMutex
-	rng         *rand.Rand
-	base        []byte
-	baseTag     string
-	version     int
-	lastRebase  time.Time
-	hasRebased  bool
-	evictions   int
-	candidates  []sample
-	refs        []sample // EvictTwoSet only
-	dists       [][]int  // dists[i][j] = DeltaSize(candidates[i].doc, refDoc(j))
-	samplesSeen int64
-	observed    int64
-	lastStored  int            // footprint last reported via OnStoredBytes
-	pending     sync.WaitGroup // outstanding async admissions
+	admitMu sync.Mutex // taken before mu; held across score + commit
+	col     []int      // score's column scratch, guarded by admitMu
+	scoring func()     // test hook: runs mid-score with mu released
+
+	mu             sync.RWMutex
+	rng            *rand.Rand
+	base           []byte
+	baseTag        string
+	baseSeq        uint64 // seq of the candidate the base was installed from; 0 = none
+	version        int
+	lastRebase     time.Time
+	hasRebased     bool
+	evictions      int
+	candidates     []sample
+	refs           []sample // EvictTwoSet only
+	dists          [][]int  // dists[i][j] = delta from candidates[i].doc to reference j
+	best           int      // candidate minimizing the sum of deltas; -1 = none stored
+	gen            uint64   // bumped whenever the sample sets are replaced wholesale
+	nextSeq        uint64
+	samplesSeen    int64
+	samplesDropped int64
+	observed       int64
+	lastStored     int // footprint last reported via OnStoredBytes
+
+	// Asynchronous admission slots: one admission running on its own
+	// goroutine, at most one more waiting for it.
+	running    bool
+	hasWaiting bool
+	waiting    admission
+	pending    sync.WaitGroup // running admission goroutines
 }
 
 var _ Strategy = (*Selector)(nil)
@@ -222,8 +252,10 @@ var _ Strategy = (*Selector)(nil)
 func NewSelector(cfg Config) *Selector {
 	cfg = cfg.withDefaults()
 	return &Selector{
-		cfg: cfg,
-		rng: rand.New(rand.NewPCG(cfg.Seed, 0x9E3779B97F4A7C15)),
+		cfg:  cfg,
+		est:  lightDelta,
+		rng:  rand.New(rand.NewPCG(cfg.Seed, 0x9E3779B97F4A7C15)),
+		best: -1,
 	}
 }
 
@@ -247,11 +279,8 @@ func (s *Selector) Observe(doc []byte, now time.Time) Event {
 // base-file is available via BaseTag, which the anonymization process uses
 // to exclude the base-file owner's own documents (footnote 5).
 func (s *Selector) ObserveTagged(doc []byte, tag string, now time.Time) Event {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	defer s.syncStoredLocked()
-
 	var ev Event
+	s.mu.Lock()
 	s.observed++
 
 	if s.base == nil {
@@ -260,45 +289,68 @@ func (s *Selector) ObserveTagged(doc []byte, tag string, now time.Time) Event {
 		// After a budget eviction dropped the base, re-warming lands here
 		// too: the version counter keeps counting up from where it was, so
 		// a re-warmed class never reuses a version number for new bytes.
-		s.base = cloneBytes(doc)
-		s.baseTag = tag
+		s.setBaseLocked(cloneBytes(doc), tag, 0)
 		s.bumpVersionLocked()
 		s.lastRebase = now
 		ev.Initialized = true
 	}
 
-	if s.cfg.SampleProb <= 0 || s.rng.Float64() >= s.cfg.SampleProb {
+	ev.Sampled = s.cfg.SampleProb > 0 && s.rng.Float64() < s.cfg.SampleProb
+	if ev.Sampled && s.running && s.hasWaiting {
+		// One admission running, one waiting: shed the sample instead of
+		// queueing an unbounded backlog of un-ledgered document copies.
+		s.samplesDropped++
+		ev.Sampled = false
+	}
+	var a admission
+	if !ev.Sampled {
 		s.maybeGroupRebase(now, &ev)
-		return ev
+	} else {
+		a = admission{doc: cloneBytes(doc), tag: tag, now: now, gen: s.gen}
+		switch {
+		case !s.cfg.AsyncSampling:
+			// Admitted inline below, once mu is released.
+		case !s.running:
+			s.running = true
+			s.pending.Add(1)
+			go s.admitLoop(a)
+		default:
+			s.waiting, s.hasWaiting = a, true
+		}
 	}
-	ev.Sampled = true
-	s.samplesSeen++
-	docCopy := cloneBytes(doc)
-	if s.cfg.AsyncSampling {
-		s.pending.Add(1)
-		go func() {
-			defer s.pending.Done()
-			func() {
-				s.mu.Lock()
-				defer s.mu.Unlock()
-				defer s.syncStoredLocked()
-				var async Event
-				s.admit(docCopy, tag, &async)
-				s.maybeGroupRebase(now, &async)
-			}()
-			// The admission installed bytes after the sampling request's
-			// own maintenance pass; run the follow-up with the lock
-			// released so it can prune this selector. Done comes after,
-			// so Quiesce covers the follow-up too.
-			if s.cfg.AfterAsyncAdmit != nil {
-				s.cfg.AfterAsyncAdmit()
-			}
-		}()
-		return ev
+	s.syncStoredLocked()
+	s.mu.Unlock()
+
+	if ev.Sampled && !s.cfg.AsyncSampling {
+		s.admit(a, &ev)
 	}
-	s.admit(docCopy, tag, &ev)
-	s.maybeGroupRebase(now, &ev)
 	return ev
+}
+
+// admitLoop is the asynchronous admission goroutine: it admits a, then
+// whatever sample took the waiting slot meanwhile, and exits when the slot
+// is empty.
+func (s *Selector) admitLoop(a admission) {
+	defer s.pending.Done()
+	for {
+		var ev Event
+		s.admit(a, &ev)
+		// The admission installed bytes after the sampling request's own
+		// maintenance pass; run the follow-up with every lock released so
+		// it can prune this selector. Done comes after, so Quiesce covers
+		// the follow-up too.
+		if s.cfg.AfterAsyncAdmit != nil {
+			s.cfg.AfterAsyncAdmit()
+		}
+		s.mu.Lock()
+		if !s.hasWaiting {
+			s.running = false
+			s.mu.Unlock()
+			return
+		}
+		a, s.waiting, s.hasWaiting = s.waiting, admission{}, false
+		s.mu.Unlock()
+	}
 }
 
 // Quiesce blocks until all asynchronous sample admissions have completed.
@@ -307,24 +359,78 @@ func (s *Selector) Quiesce() {
 	s.pending.Wait()
 }
 
-// admit stores doc as a candidate (and, for the two-set variant, as a
-// reference sample), evicting per policy when full.
-func (s *Selector) admit(doc []byte, tag string, ev *Event) {
+// admit runs one admission: score outside mu, commit under it. Synchronous
+// selectors call it inline, asynchronous ones from admitLoop.
+func (s *Selector) admit(a admission, ev *Event) {
+	s.admitMu.Lock()
+	defer s.admitMu.Unlock()
+	s.commit(a, s.score(a), ev)
+}
+
+// score computes the 2K deltas between a's document and a snapshot of the
+// stored sets, with mu released: s.col[i] is the delta from candidate i to
+// the document (its new matrix column), row[j] the delta from the document
+// to reference j, the last entry being the document as its own reference.
+// A sample from an older set generation is not scored. Callers hold admitMu.
+func (s *Selector) score(a admission) (row []int) {
+	s.mu.RLock()
+	cands, refs, stale := s.candidates, s.refs, s.gen != a.gen
+	s.mu.RUnlock()
+	if stale {
+		return nil
+	}
+	doc := a.doc
+	twoSet := s.cfg.Eviction == EvictTwoSet
+	if !twoSet {
+		refs = cands
+	}
+	if s.scoring != nil {
+		s.scoring()
+	}
+
+	s.col = s.col[:0]
+	for i := range cands {
+		s.col = append(s.col, s.est.Estimate(cands[i].doc, doc))
+	}
+	// doc is the base of every estimate in its row: index it once.
+	row = make([]int, len(refs)+1, s.cfg.MaxSamples+1)
+	ix := s.est.Index(doc)
+	for j := range refs {
+		row[j] = s.est.EstimateIndexed(ix, doc, refs[j].doc)
+	}
+	if twoSet {
+		row[len(refs)] = s.est.EstimateIndexed(ix, doc, doc)
+	}
+	s.est.Release(ix)
+	return row
+}
+
+// commit stores a scored sample as a candidate (and, for the two-set
+// variant, as a reference sample), evicts per policy when full, and lets a
+// better candidate take over. A sample whose set generation has passed —
+// the sets were flushed while it waited or was being scored — is
+// discarded. Callers hold admitMu.
+func (s *Selector) commit(a admission, row []int, ev *Event) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	defer s.syncStoredLocked()
+	if a.gen != s.gen {
+		s.samplesDropped++
+		ev.Sampled = false
+		return
+	}
+	s.samplesSeen++
+	s.nextSeq++
+	smp := sample{doc: a.doc, tag: a.tag, seq: s.nextSeq}
+	for i := range s.candidates {
+		s.dists[i] = append(s.dists[i], s.col[i])
+	}
+	s.candidates = append(s.candidates, smp)
+	s.dists = append(s.dists, row)
+
 	K := s.cfg.MaxSamples
-
 	if s.cfg.Eviction == EvictTwoSet {
-		// New sample joins both sets.
-		s.refs = append(s.refs, sample{doc: doc, tag: tag})
-		for i := range s.candidates {
-			s.dists[i] = append(s.dists[i], s.cfg.DeltaSize(s.candidates[i].doc, doc))
-		}
-		s.candidates = append(s.candidates, sample{doc: doc, tag: tag})
-		row := make([]int, len(s.refs))
-		for j := range s.refs {
-			row[j] = s.cfg.DeltaSize(doc, s.refs[j].doc)
-		}
-		s.dists = append(s.dists, row)
-
+		s.refs = append(s.refs, smp)
 		if len(s.refs) > K {
 			// Evict a random reference sample.
 			j := s.rng.IntN(len(s.refs))
@@ -337,31 +443,17 @@ func (s *Selector) admit(doc []byte, tag string, ev *Event) {
 			s.evictCandidate(s.worstCandidate())
 			ev.Evicted = true
 		}
-		return
+	} else if len(s.candidates) > K {
+		s.evictions++
+		victim := s.worstCandidate()
+		if s.cfg.Eviction == EvictPeriodicRandom && s.evictions%s.cfg.RandomEvictEvery == 0 {
+			victim = s.randomNonBaseCandidate()
+		}
+		s.evictCandidate(victim)
+		ev.Evicted = true
 	}
-
-	// Single-set variants: references are the candidates themselves.
-	for i := range s.candidates {
-		s.dists[i] = append(s.dists[i], s.cfg.DeltaSize(s.candidates[i].doc, doc))
-	}
-	s.candidates = append(s.candidates, sample{doc: doc, tag: tag})
-	row := make([]int, len(s.candidates))
-	for j := range s.candidates[:len(s.candidates)-1] {
-		row[j] = s.cfg.DeltaSize(doc, s.candidates[j].doc)
-	}
-	row[len(row)-1] = 0 // delta to itself
-	s.dists = append(s.dists, row)
-
-	if len(s.candidates) <= K {
-		return
-	}
-	s.evictions++
-	victim := s.worstCandidate()
-	if s.cfg.Eviction == EvictPeriodicRandom && s.evictions%s.cfg.RandomEvictEvery == 0 {
-		victim = s.randomNonBaseCandidate()
-	}
-	s.evictCandidate(victim)
-	ev.Evicted = true
+	s.best = s.bestCandidate()
+	s.maybeGroupRebase(a.now, ev)
 }
 
 // worstCandidate returns the index of the stored candidate with the maximum
@@ -380,16 +472,26 @@ func (s *Selector) worstCandidate() int {
 // base-file (footnote 3). Falls back to the worst candidate when every
 // stored document equals the base.
 func (s *Selector) randomNonBaseCandidate() int {
-	eligible := make([]int, 0, len(s.candidates))
+	eligible := 0
 	for i := range s.candidates {
-		if !bytesEqual(s.candidates[i].doc, s.base) {
-			eligible = append(eligible, i)
+		if !bytes.Equal(s.candidates[i].doc, s.base) {
+			eligible++
 		}
 	}
-	if len(eligible) == 0 {
+	if eligible == 0 {
 		return s.worstCandidate()
 	}
-	return eligible[s.rng.IntN(len(eligible))]
+	pick := s.rng.IntN(eligible)
+	for i := range s.candidates {
+		if bytes.Equal(s.candidates[i].doc, s.base) {
+			continue
+		}
+		if pick == 0 {
+			return i
+		}
+		pick--
+	}
+	panic("basefile: eligible candidate count changed under the lock")
 }
 
 func (s *Selector) evictCandidate(i int) {
@@ -404,7 +506,8 @@ func (s *Selector) evictCandidate(i int) {
 }
 
 // bestCandidate returns the index of the candidate minimizing the sum of
-// deltas, or -1 if none are stored.
+// deltas, or -1 if none are stored. The result is cached in s.best by every
+// path that changes the matrix, so un-sampled requests never recompute it.
 func (s *Selector) bestCandidate() int {
 	best, bestU := -1, 0
 	for i := range s.candidates {
@@ -416,24 +519,46 @@ func (s *Selector) bestCandidate() int {
 }
 
 // maybeGroupRebase installs the best stored candidate as the base-file when
-// it differs from the current base and the rebase-timeout has expired.
+// it differs from the current base and the rebase-timeout has expired. It
+// runs on every Observe, so the common outcomes cost no byte comparison:
+// the base is recognised as the best candidate by sample identity, and a
+// different sample holding the very same bytes is compared once and then
+// remembered as that identity.
 func (s *Selector) maybeGroupRebase(now time.Time, ev *Event) {
-	best := s.bestCandidate()
-	if best < 0 {
+	if s.best < 0 {
 		return
 	}
-	if bytesEqual(s.candidates[best].doc, s.base) {
+	c := &s.candidates[s.best]
+	if c.seq == s.baseSeq {
 		return
 	}
 	if s.hasRebased && now.Sub(s.lastRebase) < s.cfg.RebaseTimeout {
 		return
 	}
-	s.base = cloneBytes(s.candidates[best].doc)
-	s.baseTag = s.candidates[best].tag
+	if bytes.Equal(c.doc, s.base) {
+		s.baseSeq = c.seq
+		return
+	}
+	s.setBaseLocked(cloneBytes(c.doc), c.tag, c.seq)
 	s.bumpVersionLocked()
 	s.lastRebase = now
 	s.hasRebased = true
 	ev.GroupRebase = true
+}
+
+// setBaseLocked replaces the working base. seq names the stored candidate
+// the bytes were taken from, 0 when they came from anywhere else.
+func (s *Selector) setBaseLocked(base []byte, tag string, seq uint64) {
+	s.base, s.baseTag, s.baseSeq = base, tag, seq
+}
+
+// clearSamplesLocked flushes the stored sets and the distance matrix, and
+// moves to a new set generation so that an admission scored against the
+// old sets is discarded at commit.
+func (s *Selector) clearSamplesLocked() {
+	s.candidates, s.refs, s.dists = nil, nil, nil
+	s.best = -1
+	s.gen++
 }
 
 // Base implements Strategy. The returned bytes are replaced, never
@@ -460,24 +585,22 @@ func (s *Selector) BasicRebase(doc []byte, tag string, now time.Time) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	defer s.syncStoredLocked()
-	s.base = cloneBytes(doc)
-	s.baseTag = tag
+	s.setBaseLocked(cloneBytes(doc), tag, 0)
 	s.bumpVersionLocked()
 	s.lastRebase = now
 	s.hasRebased = true
-	s.candidates = nil
-	s.refs = nil
-	s.dists = nil
+	s.clearSamplesLocked()
 	return s.version
 }
 
 // Stats reports internal counters for experiments and debugging.
 type Stats struct {
-	Observed    int64 // documents fed to Observe
-	Sampled     int64 // documents stored as candidates
-	Stored      int   // candidates currently stored
-	StoredBytes int   // total bytes of stored candidate documents
-	Version     int   // current base-file version
+	Observed       int64 // documents fed to Observe
+	Sampled        int64 // documents stored as candidates
+	SamplesDropped int64 // sampled but not stored: admission slots full, or sets flushed first
+	Stored         int   // candidates currently stored
+	StoredBytes    int   // total bytes of stored candidate documents
+	Version        int   // current base-file version
 }
 
 // Stats returns a snapshot of the selector's counters.
@@ -494,11 +617,12 @@ func (s *Selector) Stats() Stats {
 		}
 	}
 	return Stats{
-		Observed:    s.observed,
-		Sampled:     s.samplesSeen,
-		Stored:      len(s.candidates),
-		StoredBytes: bytes,
-		Version:     s.version,
+		Observed:       s.observed,
+		Sampled:        s.samplesSeen,
+		SamplesDropped: s.samplesDropped,
+		Stored:         len(s.candidates),
+		StoredBytes:    bytes,
+		Version:        s.version,
 	}
 }
 
@@ -507,8 +631,6 @@ func cloneBytes(b []byte) []byte {
 	copy(out, b)
 	return out
 }
-
-func bytesEqual(a, b []byte) bool { return bytes.Equal(a, b) }
 
 // footprintLocked returns the selector's resident document bytes: the
 // working base plus all stored candidate and reference samples. The two-set
@@ -550,9 +672,7 @@ func (s *Selector) DropSamples() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	defer s.syncStoredLocked()
-	s.candidates = nil
-	s.refs = nil
-	s.dists = nil
+	s.clearSamplesLocked()
 }
 
 // DropStored additionally releases the working base, fully de-warming the
@@ -565,11 +685,8 @@ func (s *Selector) DropStored() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	defer s.syncStoredLocked()
-	s.candidates = nil
-	s.refs = nil
-	s.dists = nil
-	s.base = nil
-	s.baseTag = ""
+	s.clearSamplesLocked()
+	s.setBaseLocked(nil, "", 0)
 }
 
 // Restore installs a persisted base-file and version counter into a fresh
@@ -582,11 +699,9 @@ func (s *Selector) Restore(base []byte, tag string, version int, lastRebase time
 	defer s.mu.Unlock()
 	defer s.syncStoredLocked()
 	if len(base) == 0 {
-		s.base = nil
-		s.baseTag = ""
+		s.setBaseLocked(nil, "", 0)
 	} else {
-		s.base = cloneBytes(base)
-		s.baseTag = tag
+		s.setBaseLocked(cloneBytes(base), tag, 0)
 	}
 	if version > s.version {
 		s.version = version
@@ -638,58 +753,54 @@ func (s *Selector) SpillState() SpillState {
 // (e.g. the config shrank across a restart) are dropped newest-last. The
 // selector takes ownership of the snapshot's byte slices — fault-in
 // decoding always produces fresh buffers.
+//
+// A snapshot taken at a version below the selector's current counter is
+// ignored: the counter moved on after it was taken, so clients may hold
+// other bytes under the current number, and installing the snapshot's base
+// would serve them deltas against a base they never had.
 func (s *Selector) RestoreSpill(st SpillState, now time.Time) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	defer s.syncStoredLocked()
+	if st.Version < s.version {
+		return
+	}
 	if len(st.Base) > 0 {
-		s.base = st.Base
-		s.baseTag = st.BaseTag
+		s.setBaseLocked(st.Base, st.BaseTag, 0)
 	}
-	if st.Version > s.version {
-		s.version = st.Version
-	}
+	s.version = st.Version
 	s.lastRebase = now
 	s.hasRebased = s.version > s.nextVersionLocked(0)
 
 	K := s.cfg.MaxSamples
-	cands := st.Candidates
-	if len(cands) > K {
-		cands = cands[:K]
+	s.clearSamplesLocked()
+	for _, d := range st.Candidates[:min(len(st.Candidates), K)] {
+		s.nextSeq++
+		s.candidates = append(s.candidates, sample{doc: d.Bytes, tag: d.Tag, seq: s.nextSeq})
 	}
-	s.candidates = nil
-	s.refs = nil
-	s.dists = nil
-	for _, d := range cands {
-		s.candidates = append(s.candidates, sample{doc: d.Bytes, tag: d.Tag})
-	}
-	if s.cfg.Eviction == EvictTwoSet {
-		refs := st.Refs
-		if len(refs) > K {
-			refs = refs[:K]
-		}
-		for _, d := range refs {
+	// Single-set variants: references are the candidates themselves, and a
+	// candidate's delta to itself is zero.
+	refs := s.candidates
+	twoSet := s.cfg.Eviction == EvictTwoSet
+	if twoSet {
+		for _, d := range st.Refs[:min(len(st.Refs), K)] {
 			s.refs = append(s.refs, sample{doc: d.Bytes, tag: d.Tag})
 		}
-		for i := range s.candidates {
-			row := make([]int, len(s.refs))
-			for j := range s.refs {
-				row[j] = s.cfg.DeltaSize(s.candidates[i].doc, s.refs[j].doc)
-			}
-			s.dists = append(s.dists, row)
-		}
-		return
+		refs = s.refs
 	}
-	// Single-set variants: references are the candidates themselves.
 	for i := range s.candidates {
-		row := make([]int, len(s.candidates))
-		for j := range s.candidates {
-			if i != j {
-				row[j] = s.cfg.DeltaSize(s.candidates[i].doc, s.candidates[j].doc)
+		doc := s.candidates[i].doc
+		row := make([]int, len(refs), K+1)
+		ix := s.est.Index(doc)
+		for j := range refs {
+			if twoSet || i != j {
+				row[j] = s.est.EstimateIndexed(ix, doc, refs[j].doc)
 			}
 		}
+		s.est.Release(ix)
 		s.dists = append(s.dists, row)
 	}
+	s.best = s.bestCandidate()
 }
 
 // RaiseVersion lifts the version counter to at least v without touching

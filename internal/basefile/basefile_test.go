@@ -361,12 +361,6 @@ func TestConfigDefaults(t *testing.T) {
 	if c.SampleProb != 0.2 || c.MaxSamples != 8 || c.Eviction != EvictWorst {
 		t.Errorf("unexpected defaults: %+v", c)
 	}
-	if c.DeltaSize == nil {
-		t.Fatal("default DeltaSize is nil")
-	}
-	if got := c.DeltaSize([]byte("abc"), []byte("abc")); got <= 0 {
-		t.Errorf("default DeltaSize = %d, want positive", got)
-	}
 	// Invalid values fall back too.
 	c = Config{SampleProb: 2.5, MaxSamples: -1, RandomEvictEvery: -1}.withDefaults()
 	if c.SampleProb != 0.2 || c.MaxSamples != 8 || c.RandomEvictEvery != 4 {

@@ -1,6 +1,15 @@
 package basefile
 
-import "time"
+import (
+	"bytes"
+	"time"
+)
+
+// DeltaSizeFunc measures the size, in bytes, of the delta that transforms
+// base into doc, for the OnlineOptimal and Offline baselines. They only
+// compare these values, so a cheap estimate works well; nil selects the
+// light Vdelta variant the Selector itself uses.
+type DeltaSizeFunc func(base, doc []byte) int
 
 // FirstResponse is the simplest base-file scheme: the document corresponding
 // to the request that created the class stays the base-file forever. Table
@@ -44,10 +53,10 @@ type OnlineOptimal struct {
 var _ Strategy = (*OnlineOptimal)(nil)
 
 // NewOnlineOptimal returns an OnlineOptimal strategy measuring candidate
-// quality with deltaSize (nil selects the same default as Config.DeltaSize).
+// quality with deltaSize (nil selects the light Vdelta estimator).
 func NewOnlineOptimal(deltaSize DeltaSizeFunc) *OnlineOptimal {
 	if deltaSize == nil {
-		deltaSize = Config{}.withDefaults().DeltaSize
+		deltaSize = lightDelta.Estimate
 	}
 	return &OnlineOptimal{deltaSize: deltaSize}
 }
@@ -75,7 +84,7 @@ func (o *OnlineOptimal) Observe(doc []byte, _ time.Time) Event {
 	if o.version == 0 {
 		ev.Initialized = true
 	}
-	if !bytesEqual(o.docs[best], o.base) {
+	if !bytes.Equal(o.docs[best], o.base) {
 		o.base = o.docs[best]
 		o.version++
 		if o.version > 1 {
@@ -104,7 +113,7 @@ func (o *OnlineOptimal) StoredBytes() int {
 // an empty slice.
 func Offline(docs [][]byte, deltaSize DeltaSizeFunc) int {
 	if deltaSize == nil {
-		deltaSize = Config{}.withDefaults().DeltaSize
+		deltaSize = lightDelta.Estimate
 	}
 	best, bestU := -1, 0
 	for i := range docs {

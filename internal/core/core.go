@@ -519,6 +519,17 @@ func (cs *classState) Prune() int64 {
 // version counter is preserved, so a re-warmed class never reuses a
 // version number for different bytes.
 func (cs *classState) Evict() int64 {
+	if cs.spill != nil {
+		// faultMu orders this class's tier traffic: strip-and-append pairs
+		// land in the order the strips happened, so the tier's
+		// latest-record-wins index always holds the newest capture, and a
+		// fault-in never overlaps an eviction of the same class. Without it
+		// a class stripped, re-warmed by a slipped-in request and stripped
+		// again could leave the older record on top (faultIn additionally
+		// refuses such a record by its version).
+		cs.faultMu.Lock()
+		defer cs.faultMu.Unlock()
+	}
 	before := cs.res.Total()
 	cs.mu.Lock()
 	// With the disk tier enabled, eviction is a demotion: capture the

@@ -133,11 +133,15 @@ func (e *Engine) faultIn(cs *classState, now time.Time) int64 {
 
 	cs.mu.Lock()
 	defer cs.mu.Unlock()
-	base, _ := cs.selector.Base()
-	if cs.distVersion != 0 || len(cs.bases) != 0 || base != nil {
+	base, cur := cs.selector.Base()
+	if cs.distVersion != 0 || len(cs.bases) != 0 || base != nil || rec.SelectorVersion < cur {
 		// The class warmed by other means first — an NDJSON restore or a
 		// request that slipped in before the eviction's spilled flag was
-		// set. The record's bytes are stale, but its version counter is a
+		// set — or it is empty again but its counter has moved past the
+		// record's: the record predates a re-warm whose bytes clients now
+		// hold under the newer number, and installing its selector base
+		// would pair that number with bytes nobody holds. Either way the
+		// record's bytes are stale, but its version counter is a
 		// high-water mark that must survive: no version number may ever be
 		// reused for different bytes.
 		cs.selector.RaiseVersion(rec.SelectorVersion)
@@ -237,20 +241,13 @@ func (e *Engine) SpillAll() (int, error) {
 	var n int
 	var first error
 	for _, cs := range e.states() {
-		cs.mu.Lock()
-		rec := cs.spillRecordLocked()
-		cs.mu.Unlock()
-		if rec == nil {
-			continue
+		ok, err := cs.spillNow()
+		if err != nil && first == nil {
+			first = err
 		}
-		if err := cs.spill.Append(*rec); err != nil {
-			if first == nil {
-				first = err
-			}
-			continue
+		if ok {
+			n++
 		}
-		cs.spilled.Store(true)
-		n++
 	}
 	// Persist grouping alongside the records: recovered spill keys are
 	// only reachable if the next boot classifies URLs to the same
@@ -259,6 +256,25 @@ func (e *Engine) SpillAll() (int, error) {
 		first = err
 	}
 	return n, first
+}
+
+// spillNow appends the class's current state to the tier without evicting
+// it, under faultMu like Evict so the class's records land in capture
+// order. It reports whether a record was written.
+func (cs *classState) spillNow() (bool, error) {
+	cs.faultMu.Lock()
+	defer cs.faultMu.Unlock()
+	cs.mu.Lock()
+	rec := cs.spillRecordLocked()
+	cs.mu.Unlock()
+	if rec == nil {
+		return false, nil
+	}
+	if err := cs.spill.Append(*rec); err != nil {
+		return false, err
+	}
+	cs.spilled.Store(true)
+	return true, nil
 }
 
 // SpillStats snapshots the disk tier. The zero value (Enabled false) is

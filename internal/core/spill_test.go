@@ -451,3 +451,87 @@ func TestSpillLedgerDrainsToZero(t *testing.T) {
 		t.Fatalf("budget-1 engine must churn through the tier: %+v", ts)
 	}
 }
+
+// TestSpillStaleRecordDoesNotRebindVersion forces the interleaving behind
+// the diurnal spill corruption: a class is stripped (record at version N
+// captured), re-warmed by a request that slipped in before the eviction's
+// spilled flag was set (version N+1, new bytes, handed to a client), and
+// stripped again — and the two tier appends land newest-first, so the
+// version-N record wins the tier's latest-record-wins index. The fault-in
+// then finds the class empty with its counter at N+1; installing the
+// record's selector base would pair N+1 with bytes no client holds.
+func TestSpillStaleRecordDoesNotRebindVersion(t *testing.T) {
+	e := newTestEngine(t, Config{
+		SpillDir:             t.TempDir(),
+		DisableAnonymization: true,
+		Selector:             basefile.Config{SampleProb: -1},
+	})
+	t.Cleanup(func() { e.Close() })
+	const url = "www.shop.com/delta/0"
+	classID, v1, _ := warmHeld(t, e, url, renderDoc("delta", 0, 0, "u1"))
+	cs, ok := e.lookup(classID)
+	if !ok {
+		t.Fatal("class missing after warm-up")
+	}
+
+	// First strip: capture what Evict captures, but hold the append back.
+	cs.mu.Lock()
+	stale := cs.spillRecordLocked()
+	cs.mu.Unlock()
+	if stale == nil || stale.SelectorVersion != v1 {
+		t.Fatalf("stale record = %+v, want selector version %d", stale, v1)
+	}
+	if _, ok := e.EvictClass(classID); !ok {
+		t.Fatal("first evict failed")
+	}
+	// The slipped-in request: it ran before the flag flipped, so it re-warms
+	// from traffic instead of faulting in. Different bytes than version N.
+	cs.spilled.Store(false)
+	held := append(renderDoc("delta", 0, 1, "u2"), "<!-- re-warm -->"...)
+	resp, err := e.Process(Request{URL: url, UserID: "u2", Doc: held})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v2 := resp.LatestVersion
+	if v2 <= v1 {
+		t.Fatalf("re-warm announced version %d, want above %d", v2, v1)
+	}
+	heldBase, ok := e.BaseFile(classID, v2)
+	if !ok {
+		t.Fatal("re-warmed base not fetchable")
+	}
+	// Second strip, whose append lands first; then the held-back one.
+	if _, ok := e.EvictClass(classID); !ok {
+		t.Fatal("second evict failed")
+	}
+	if err := cs.spill.Append(*stale); err != nil {
+		t.Fatal(err)
+	}
+
+	doc := renderDoc("delta", 0, 2, "u2")
+	resp, err = e.Process(Request{
+		URL: url, UserID: "u2", Doc: doc,
+		HaveClassID: classID, HaveVersion: v2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if base, ok := e.BaseFile(classID, v2); ok && !bytes.Equal(base, heldBase) {
+		t.Fatalf("version %d now names different bytes than the client holds", v2)
+	}
+	if resp.Kind == KindDelta {
+		if resp.BaseVersion != v2 {
+			t.Fatalf("delta against version %d, client holds %d", resp.BaseVersion, v2)
+		}
+		got, err := e.DecodeAs(heldBase, resp.Payload, resp.Gzipped, resp.Format)
+		if err != nil {
+			t.Fatalf("delta does not decode against the held base: %v", err)
+		}
+		if !bytes.Equal(got, doc) {
+			t.Fatal("delta reconstructs the wrong document")
+		}
+	}
+	if _, v := cs.selector.Base(); v < v2 {
+		t.Fatalf("selector counter fell to %d, below the announced %d", v, v2)
+	}
+}

@@ -2,6 +2,7 @@ package vdelta
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 )
 
@@ -67,6 +68,23 @@ func FuzzRoundTrip(f *testing.F) {
 		if ref := refEncode(c.cfg, base, target); !bytes.Equal(delta, ref) {
 			t.Fatalf("flat-index delta differs from map-based reference (%d vs %d bytes)",
 				len(delta), len(ref))
+		}
+	})
+}
+
+// FuzzEstimateMatchesReference holds the estimator's kernels (two-load
+// hash, word-wise match extension, Bloom pre-filter, reusable index) to the
+// retained index-per-call, byte-loop reference on whatever the fuzzer finds,
+// at the default width and at one the FNV path serves.
+func FuzzEstimateMatchesReference(f *testing.F) {
+	for _, seed := range fuzzCorpusSeeds() {
+		f.Add(seed[0], seed[1])
+	}
+	f.Add(bytes.Repeat([]byte("0123456789abcdef"), 40), bytes.Repeat([]byte("0123456789abcdeX"), 40))
+	ests := []*Estimator{NewEstimator(), NewEstimator(WithChunkSize(5), WithMaxChain(2))}
+	f.Fuzz(func(t *testing.T, base, target []byte) {
+		for i, e := range ests {
+			checkEstimate(t, e, base, target, fmt.Sprintf("estimator %d", i))
 		}
 	})
 }

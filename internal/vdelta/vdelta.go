@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"math/bits"
 	"sync"
 )
 
@@ -198,6 +199,39 @@ func hashChunk(b []byte, i, w int) uint32 {
 		h *= 16777619
 	}
 	return h
+}
+
+// hash16 hashes the 16 bytes at the start of b, which callers guarantee to
+// hold at least that many: two 64-bit loads folded through one widening
+// multiply, instead of FNV's sixteen dependent ones. It keys the light
+// estimator's default chunk width, where a hash is taken at every literal
+// target position; the encoder's 4-byte chunks keep hashChunk.
+func hash16(b []byte) uint32 {
+	b = b[:16]
+	hi, lo := bits.Mul64(
+		binary.LittleEndian.Uint64(b)^0x9E3779B97F4A7C15,
+		binary.LittleEndian.Uint64(b[8:])^0xC2B2AE3D27D4EB4F)
+	return uint32(hi ^ lo)
+}
+
+// matchLen returns the length of the longest common prefix of a and b,
+// comparing eight bytes at a time. It is the forward match extension of
+// both the encoder and the light estimator.
+func matchLen(a, b []byte) int {
+	if len(a) > len(b) {
+		a = a[:len(b)]
+	}
+	b = b[:len(a)]
+	n := 0
+	for ; n+8 <= len(a); n += 8 {
+		if x := binary.LittleEndian.Uint64(a[n:]) ^ binary.LittleEndian.Uint64(b[n:]); x != 0 {
+			return n + bits.TrailingZeros64(x)>>3
+		}
+	}
+	for n < len(a) && a[n] == b[n] {
+		n++
+	}
+	return n
 }
 
 // chunkIndex maps chunk hashes to source positions using zlib-style flat
@@ -465,33 +499,26 @@ func (e *deltaEncoder) srcByte(i int) byte {
 // at virtual-source offset start, against the target at e.pos.
 func (e *deltaEncoder) extend(start int) match {
 	base, target := e.base, e.target
-	srcLimit := len(base)
+	// A target self-copy may read up to, but not past, the data that will
+	// have been reconstructed when this copy executes. Decoder copies
+	// byte-by-byte, so overlapping forward extension past e.pos is legal
+	// (run-length behaviour): the source byte at offset len(base)+k is
+	// available once target[k] has been written.
 	isTargetSrc := start >= len(base)
-	if isTargetSrc {
-		// A target self-copy may read up to, but not past, the data that
-		// will have been reconstructed when this copy executes. Decoder
-		// copies byte-by-byte, so overlapping forward extension past e.pos
-		// is legal (run-length behaviour): the source byte at offset
-		// len(base)+k is available once target[k] has been written.
-		srcLimit = len(base) + len(target)
-	}
 
 	// Forward extension, verifying from the chunk start.
-	n := 0
-	for start+n < srcLimit && e.pos+n < len(target) {
-		if isTargetSrc {
-			// Source byte k of the target prefix is only available if
-			// k < (position being written), i.e. start+n-len(base) < pos+n,
-			// which reduces to start-len(base) < pos and always holds for
-			// candidates indexed before pos. Overlap is therefore safe.
-			if target[start+n-len(base)] != target[e.pos+n] {
-				break
-			}
-		} else if base[start+n] != target[e.pos+n] {
-			break
-		}
-		n++
+	var src []byte
+	if isTargetSrc {
+		// Source byte k of the target prefix is only available if
+		// k < (position being written), i.e. start+n-len(base) < pos+n,
+		// which reduces to start-len(base) < pos and always holds for
+		// candidates indexed before pos. Overlap is therefore safe, and the
+		// source runs out only after the target does.
+		src = target[start-len(base):]
+	} else {
+		src = base[start:]
 	}
+	n := matchLen(src, target[e.pos:])
 	if n < e.cfg.chunkSize {
 		return match{}
 	}
