@@ -11,10 +11,10 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"flag"
 	"fmt"
-	"io/fs"
 	"log"
 	"log/slog"
 	"net/http"
@@ -34,6 +34,15 @@ import (
 	"cbde/internal/deltahttp"
 	"cbde/internal/deltaserver"
 	"cbde/internal/flightrec"
+)
+
+const (
+	// checkpointEvery is how often a server with -spill-dir appends every
+	// resident class's record to the disk tier; a crash loses at most this
+	// much of what resident classes learned.
+	checkpointEvery = 5 * time.Minute
+	// shutdownGrace bounds how long a signal waits for in-flight requests.
+	shutdownGrace = 10 * time.Second
 )
 
 func main() {
@@ -64,16 +73,13 @@ func run(args []string) error {
 		maxDeltaRatio = fs.Float64("max-delta-ratio", 0.5, "basic-rebase when delta exceeds this fraction of the doc")
 
 		memBudget  = fs.String("mem-budget", "", "class-storage byte budget with optional k/m/g suffix (e.g. 64m); empty = unbudgeted")
-		spillDir   = fs.String("spill-dir", "", "spill evicted classes to compact binary segments in this directory and fault them back in on demand; empty = disabled")
+		spillDir   = fs.String("spill-dir", "", "keep class state in compact binary segments in this directory: evicted classes spill there and fault back in on demand, every class is checkpointed there every 5 minutes and at shutdown, and a restart resumes from it; empty = disabled")
 		diskBudget = fs.String("disk-budget", "", "disk-tier byte budget with optional k/m/g suffix; oldest spill segments are dropped when exceeded (with -spill-dir; empty = unbounded)")
 
 		deltaCache        = fs.Bool("delta-cache", true, "memoize encoded deltas per class with singleflight coalescing")
 		deltaCacheEntries = fs.Int("delta-cache-entries", 0, "max memoized deltas per class (0 = default 256)")
 
 		graphDepth = fs.Int("graph-depth", 0, "version graph: retained base versions per class, served via direct or chained deltas (0 = default 2; 1 = no edges)")
-
-		stateFile = fs.String("state", "", "persist engine state to this file (load at start, save on shutdown)")
-		stateSave = fs.Duration("state-save-every", 5*time.Minute, "periodic state-save interval (with -state)")
 
 		nodeID          = fs.String("node-id", "", "cluster: this node's ID (must appear in -peers)")
 		peersFlag       = fs.String("peers", "", "cluster: full membership as id=url,... (e.g. a=http://10.0.0.1:8080,b=http://10.0.0.2:8080); empty = standalone")
@@ -176,15 +182,6 @@ func run(args []string) error {
 
 	eng.SetTracing(*trace)
 
-	if *stateFile != "" {
-		if err := loadState(eng, *stateFile); err != nil {
-			return err
-		}
-	}
-	if *stateFile != "" || *spillDir != "" {
-		go shutdownLoop(eng, *stateFile, *spillDir, *stateSave)
-	}
-
 	var opts []deltaserver.Option
 	if *publicHost != "" {
 		opts = append(opts, deltaserver.WithPublicHost(*publicHost))
@@ -241,7 +238,47 @@ func run(args []string) error {
 		ts := eng.SpillStats()
 		log.Printf("deltaserver: disk tier at %s (budget %d bytes, %d classes recovered)", *spillDir, diskBytes, ts.SpilledClasses)
 	}
-	return http.ListenAndServe(*addr, srv)
+
+	// Signals are caught before the listener opens, so there is no window
+	// in which a SIGTERM skips the final checkpoint.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	httpSrv := &http.Server{Addr: *addr, Handler: srv}
+	serveErr := make(chan error, 1)
+	go func() { serveErr <- httpSrv.ListenAndServe() }()
+	var tick <-chan time.Time
+	if *spillDir != "" {
+		ticker := time.NewTicker(checkpointEvery)
+		defer ticker.Stop()
+		tick = ticker.C
+	}
+	for serving := true; serving; {
+		select {
+		case err := <-serveErr:
+			return err
+		case <-tick:
+			if _, err := eng.Checkpoint(); err != nil {
+				log.Printf("deltaserver: periodic checkpoint: %v", err)
+			}
+		case <-ctx.Done():
+			serving = false
+		}
+	}
+
+	// Drain first, checkpoint second: a base installed by a request still in
+	// flight must be in the final records, or its version number would be
+	// minted again for different bytes after the restart.
+	log.Printf("deltaserver: shutting down")
+	drain, cancel := context.WithTimeout(context.Background(), shutdownGrace)
+	defer cancel()
+	if err := httpSrv.Shutdown(drain); err != nil {
+		log.Printf("deltaserver: drain: %v", err)
+	}
+	n, err := eng.Checkpoint()
+	if *spillDir != "" {
+		log.Printf("deltaserver: checkpointed %d classes to %s", n, *spillDir)
+	}
+	return errors.Join(err, eng.Close())
 }
 
 // parsePeers parses the -peers flag: comma-separated id=url entries. A bare
@@ -286,86 +323,4 @@ func parseBytes(s string) (int64, error) {
 		return 0, fmt.Errorf("bad byte count %q", s)
 	}
 	return n * mult, nil
-}
-
-// loadState restores persisted engine state, tolerating a missing file
-// (first start).
-func loadState(eng *core.Engine, path string) error {
-	f, err := os.Open(path)
-	if errors.Is(err, fs.ErrNotExist) {
-		log.Printf("deltaserver: no state file at %s; starting fresh", path)
-		return nil
-	}
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := eng.LoadState(f); err != nil {
-		return err
-	}
-	log.Printf("deltaserver: restored state from %s", path)
-	return nil
-}
-
-// shutdownLoop persists NDJSON state periodically (with -state) and, on
-// SIGINT/SIGTERM, flushes everything durable before exiting: the NDJSON
-// snapshot if configured, and — with the disk tier on — a spill record per
-// class, so the next process recovers from segment headers alone with no
-// NDJSON replay.
-func shutdownLoop(eng *core.Engine, statePath, spillDir string, every time.Duration) {
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	var tick <-chan time.Time
-	if statePath != "" {
-		ticker := time.NewTicker(every)
-		defer ticker.Stop()
-		tick = ticker.C
-	}
-	for {
-		select {
-		case <-tick:
-			if err := saveState(eng, statePath); err != nil {
-				log.Printf("deltaserver: periodic state save: %v", err)
-			}
-		case s := <-sig:
-			code := 0
-			if statePath != "" {
-				if err := saveState(eng, statePath); err != nil {
-					log.Printf("deltaserver: shutdown state save: %v", err)
-					code = 1
-				} else {
-					log.Printf("deltaserver: state saved to %s on %v", statePath, s)
-				}
-			}
-			if spillDir != "" {
-				n, err := eng.SpillAll()
-				if err != nil {
-					log.Printf("deltaserver: shutdown spill: %v", err)
-					code = 1
-				}
-				log.Printf("deltaserver: spilled %d classes to %s on %v", n, spillDir, s)
-			}
-			if err := eng.Close(); err != nil {
-				log.Printf("deltaserver: close disk tier: %v", err)
-			}
-			os.Exit(code)
-		}
-	}
-}
-
-// saveState writes state atomically via a temp file rename.
-func saveState(eng *core.Engine, path string) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if err := eng.SaveState(f); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
 }

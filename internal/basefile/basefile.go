@@ -689,27 +689,6 @@ func (s *Selector) DropStored() {
 	s.setBaseLocked(nil, "", 0)
 }
 
-// Restore installs a persisted base-file and version counter into a fresh
-// selector, so rebase numbering continues where a previous process left
-// off. Stored candidate samples are deliberately not restored; they re-warm
-// from live traffic. An empty base restores the version counter alone —
-// the evicted-class case, where only numbering continuity survives restart.
-func (s *Selector) Restore(base []byte, tag string, version int, lastRebase time.Time) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	defer s.syncStoredLocked()
-	if len(base) == 0 {
-		s.setBaseLocked(nil, "", 0)
-	} else {
-		s.setBaseLocked(cloneBytes(base), tag, 0)
-	}
-	if version > s.version {
-		s.version = version
-	}
-	s.lastRebase = lastRebase
-	s.hasRebased = version > s.nextVersionLocked(0)
-}
-
 // SpillDoc is one stored sample in a selector spill snapshot.
 type SpillDoc struct {
 	Bytes []byte
@@ -805,9 +784,9 @@ func (s *Selector) RestoreSpill(st SpillState, now time.Time) {
 
 // RaiseVersion lifts the version counter to at least v without touching
 // any other state. The fault-in path uses it when a spill record turns
-// out to be stale (the class re-warmed from traffic or an NDJSON restore
-// first): the record's bytes are discarded but its version high-water
-// mark must survive, so no number is ever reused for different bytes.
+// out to be stale (the class re-warmed from traffic first): the record's
+// bytes are discarded but its version high-water mark must survive, so no
+// number is ever reused for different bytes.
 func (s *Selector) RaiseVersion(v int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

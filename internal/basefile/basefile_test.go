@@ -416,10 +416,18 @@ func TestVersionStridingDefaults(t *testing.T) {
 	if _, v := s.Base(); v != 2 {
 		t.Fatalf("strided bootstrap version = %d, want 2", v)
 	}
-	// Restore past a foreign version: the next mint lands back in this
+	// Restore past a foreign version — by a counter-only spill snapshot and
+	// by a stale record's high-water mark: the next mint lands back in this
 	// node's residue class, strictly above the restored counter.
-	s.Restore(nil, "", 7, now)
+	s.RestoreSpill(SpillState{Version: 7}, now)
+	if _, v := s.Base(); v != 7 {
+		t.Fatalf("counter-only restore left the counter at %d, want 7", v)
+	}
 	if v := s.BasicRebase([]byte("doc2"), "", now); v != 10 {
 		t.Fatalf("post-restore version = %d, want 10", v)
+	}
+	s.RaiseVersion(15)
+	if v := s.BasicRebase([]byte("doc3"), "", now); v != 18 {
+		t.Fatalf("post-raise version = %d, want 18", v)
 	}
 }

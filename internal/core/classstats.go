@@ -51,10 +51,11 @@ type ClassStats struct {
 	Evictions     int64 `json:"evictions,omitempty"`
 	Rewarms       int64 `json:"rewarms,omitempty"`
 
-	// Spilled reports that a spill record for the class is indexed in the
-	// disk tier — an evicted-and-spilled class serves one fault-in instead
-	// of a re-warm when traffic returns. FaultIns counts how often the
-	// class has been restored from disk.
+	// Spilled reports that the class's state lives in its disk-tier record
+	// and its next request will fault it in instead of re-warming: it was
+	// evicted into the tier, or recovered by a restart and not requested
+	// since. (A checkpoint leaves a record too but does not set this.)
+	// FaultIns counts how often the class has been restored from disk.
 	Spilled  bool  `json:"spilled,omitempty"`
 	FaultIns int64 `json:"faultIns,omitempty"`
 
@@ -209,7 +210,7 @@ func (e *Engine) collect(c *metrics.Collection) {
 	if e.spill != nil {
 		ts := e.SpillStats()
 		c.Counter("cbde_store_spills_total",
-			"Class spill records appended to the disk tier.",
+			"Records appended to the disk tier by evictions and checkpoints.",
 			nil, float64(ts.Spills))
 		c.Counter("cbde_store_faultin_total",
 			"Spilled classes faulted back in from the disk tier.",

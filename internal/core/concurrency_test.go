@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"sync"
 	"testing"
 	"time"
@@ -110,7 +109,7 @@ func (c *stressClient) request(url string, doc []byte, format Format) {
 // TestConcurrentProcessStress drives the full pipeline — grouping, selector
 // observation, anonymization, snapshot encode, rebases — from many
 // goroutines across several classes, with concurrent readers (Stats,
-// BaseFile, SaveState) mixed in. Run under `go test -race`; it is the
+// BaseFile, Checkpoint) mixed in. Run under `go test -race`; it is the
 // repo's evidence for the engine's "safe for concurrent use" claim.
 func TestConcurrentProcessStress(t *testing.T) {
 	const (
@@ -119,9 +118,11 @@ func TestConcurrentProcessStress(t *testing.T) {
 		requests   = 250
 	)
 	e := newTestEngine(t, Config{
-		Anon: anonymize.Config{M: 1, N: 2},
-		Now:  time.Now, // the deterministic test clock is not needed here
+		Anon:     anonymize.Config{M: 1, N: 2},
+		Now:      time.Now, // the deterministic test clock is not needed here
+		SpillDir: t.TempDir(),
 	})
+	defer e.Close()
 
 	depts := make([]string, classes)
 	for c := range depts {
@@ -151,9 +152,18 @@ func TestConcurrentProcessStress(t *testing.T) {
 				return
 			}
 			if i%3 == 0 {
-				if err := e.SaveState(io.Discard); err != nil {
-					t.Errorf("SaveState: %v", err)
+				if _, err := e.Checkpoint(); err != nil {
+					t.Errorf("Checkpoint: %v", err)
 					return
+				}
+				// Nothing evicts here, so only the checkpoint could have
+				// flagged a class — and a flag costs its next request a
+				// disk read.
+				for _, st := range e.AllClassStats() {
+					if st.Spilled {
+						t.Errorf("Checkpoint flagged live class %q as spilled", st.ID)
+						return
+					}
 				}
 			}
 			_ = e.Metrics().Snapshot()

@@ -119,13 +119,15 @@ type Config struct {
 	// and re-warms from traffic, never erroring. 0 (default) disables
 	// governance: classes are retained forever, as before.
 	MemBudget int64
-	// SpillDir enables the disk tier: budget-evicted classes are demoted
-	// to compact binary blobs in segment files under this directory and
-	// faulted back in — served as deltas again — when traffic returns.
-	// A restart with a populated spill dir recovers the class index by
-	// scanning segment headers; bodies fault in lazily. Empty (default)
-	// disables the tier: eviction drops bytes and classes re-warm from
-	// traffic.
+	// SpillDir enables the disk tier, the engine's only persistence:
+	// budget-evicted classes are demoted to compact binary records in
+	// segment files under this directory and faulted back in — served as
+	// deltas again — when traffic returns, and Checkpoint appends every
+	// resident class's record plus the grouping. A restart with a
+	// populated spill dir recovers the class index by scanning segment
+	// headers; bodies fault in lazily. Empty (default) disables the tier:
+	// eviction drops bytes, classes re-warm from traffic, and nothing
+	// survives a restart.
 	SpillDir string
 	// DiskBudget caps the spill tier's on-disk bytes; over budget, oldest
 	// segments are deleted and their classes degrade like plain evictions.
@@ -740,8 +742,8 @@ func NewEngine(cfg Config) (*Engine, error) {
 	if cfg.Mode == ModeClassBased {
 		e.classify = classify.NewManager(cfg.Classify)
 		// Recovered spill keys embed grouping-dependent sequence numbers;
-		// import the sidecar SpillAll left behind so the same URLs and
-		// users classify back to the spilled class IDs.
+		// import the grouping record the last Checkpoint left in the tier
+		// so the same URLs and users classify back to the same class IDs.
 		if e.spill != nil {
 			e.loadGrouping()
 		}

@@ -1,5 +1,7 @@
 // Disk-tier integration: spill capture on eviction, singleflight fault-in
-// on the read path, whole-engine spill for shutdown, and tier stats.
+// on the read path, whole-engine checkpoints, and tier stats. The tier is
+// the engine's only persistence: a restart on the same SpillDir resumes
+// from whatever records evictions and checkpoints left there.
 // The tier itself (segments, blob codec, index, disk budget) lives in
 // internal/store; this file owns the ownership rules — when a record may
 // be installed into a class and what happens when it may not.
@@ -7,8 +9,6 @@ package core
 
 import (
 	"encoding/json"
-	"os"
-	"path/filepath"
 	"time"
 
 	"cbde/internal/basefile"
@@ -16,50 +16,33 @@ import (
 	"cbde/internal/store"
 )
 
-// groupingFile is the spill-dir sidecar holding the classify manager's
-// exported grouping state. Class keys embed a creation-order sequence
-// number, so without this sidecar a restarted engine re-mints keys by
-// arrival order and the recovered spill index becomes unreachable in
-// grouped mode. SpillAll (the clean-shutdown path) writes it atomically;
-// after an unclean crash it is stale or absent, grouping re-learns from
-// traffic, and orphaned spill records degrade like plain evictions until
-// compaction reclaims them — the same exposure class as losing the
-// version counter without an NDJSON snapshot.
-const groupingFile = "grouping.json"
-
-// saveGrouping writes the grouping sidecar via write-to-temp + rename so
-// a crash mid-write leaves the previous sidecar intact. No-op for
-// classless engines.
-func (e *Engine) saveGrouping() error {
-	if e.classify == nil || e.cfg.SpillDir == "" {
+// checkpointGrouping appends the classify manager's exported grouping as
+// the tier's record under store.GroupingKey. Class keys embed a
+// creation-order sequence number, so without it a restarted engine re-mints
+// keys by arrival order and the recovered class records become unreachable
+// in grouped mode. No-op for classless engines.
+func (e *Engine) checkpointGrouping() error {
+	if e.classify == nil {
 		return nil
 	}
 	data, err := json.Marshal(e.classify.Export())
 	if err != nil {
 		return err
 	}
-	tmp := filepath.Join(e.cfg.SpillDir, groupingFile+".tmp")
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, filepath.Join(e.cfg.SpillDir, groupingFile))
+	return e.spill.Append(store.ClassRecord{Key: store.GroupingKey, SelectorBase: data})
 }
 
-// loadGrouping imports the grouping sidecar into the freshly constructed
-// engine's classify manager. A missing or corrupt sidecar is not an
-// error — the engine boots with empty grouping and re-learns, exactly as
-// if the classes had been plainly evicted. LoadState supersedes this: an
-// NDJSON snapshot carries its own grouping and replaces the manager.
+// loadGrouping imports the tier's grouping record into the freshly
+// constructed engine's classify manager. A missing or corrupt record is
+// not an error — the engine boots with empty grouping and re-learns, and
+// class records its freshly minted keys miss degrade like plain evictions.
 func (e *Engine) loadGrouping() {
-	if e.classify == nil || e.cfg.SpillDir == "" {
-		return
-	}
-	data, err := os.ReadFile(filepath.Join(e.cfg.SpillDir, groupingFile))
-	if err != nil {
+	rec, ok := e.spill.Get(store.GroupingKey)
+	if !ok {
 		return
 	}
 	var ex classify.Exported
-	if err := json.Unmarshal(data, &ex); err != nil {
+	if err := json.Unmarshal(rec.SelectorBase, &ex); err != nil {
 		return
 	}
 	_ = e.classify.Import(ex) // only fails on a non-empty manager
@@ -67,9 +50,9 @@ func (e *Engine) loadGrouping() {
 
 // spillRecordLocked captures the class's spillable state: installed base
 // versions, the selector's working base, version counter, and stored
-// samples. Returns nil when there is nothing worth writing (a class that
-// never warmed). Callers hold cs.mu; the returned slices alias immutable
-// buffers, so the record survives the strip that follows.
+// samples. Returns nil when the class holds no bytes (never warmed, or
+// already stripped). Callers hold cs.mu; the returned slices alias
+// immutable buffers, so the record survives the strip that follows.
 func (cs *classState) spillRecordLocked() *store.ClassRecord {
 	st := cs.selector.SpillState()
 	if cs.distVersion == 0 && len(st.Base) == 0 && len(st.Candidates) == 0 {
@@ -135,15 +118,14 @@ func (e *Engine) faultIn(cs *classState, now time.Time) int64 {
 	defer cs.mu.Unlock()
 	base, cur := cs.selector.Base()
 	if cs.distVersion != 0 || len(cs.bases) != 0 || base != nil || rec.SelectorVersion < cur {
-		// The class warmed by other means first — an NDJSON restore or a
-		// request that slipped in before the eviction's spilled flag was
-		// set — or it is empty again but its counter has moved past the
-		// record's: the record predates a re-warm whose bytes clients now
-		// hold under the newer number, and installing its selector base
-		// would pair that number with bytes nobody holds. Either way the
-		// record's bytes are stale, but its version counter is a
-		// high-water mark that must survive: no version number may ever be
-		// reused for different bytes.
+		// The class warmed by other means first — a request that slipped in
+		// before the eviction's spilled flag was set — or it is empty
+		// again but its counter has moved past the record's: the record
+		// predates a re-warm whose bytes clients now hold under the newer
+		// number, and installing its selector base would pair that number
+		// with bytes nobody holds. Either way the record's bytes are stale,
+		// but its version counter is a high-water mark that must survive:
+		// no version number may ever be reused for different bytes.
 		cs.selector.RaiseVersion(rec.SelectorVersion)
 		return 0
 	}
@@ -228,20 +210,21 @@ func (e *Engine) EvictClass(classID string) (int64, bool) {
 	return cs.Evict(), true
 }
 
-// SpillAll writes a spill record for every class that has state worth
-// keeping, without evicting anything — the shutdown path: a subsequent
-// process pointed at the same SpillDir recovers the class index from
-// segment headers alone and faults bodies in lazily, no NDJSON replay
-// needed. Returns the number of classes spilled and the first append
-// error encountered.
-func (e *Engine) SpillAll() (int, error) {
+// Checkpoint appends the current record of every class to the disk tier
+// without evicting or flagging anything, then the grouping record, so a
+// process restarted on the same SpillDir — after a clean shutdown or a
+// crash — resumes from this point: the class index recovers from segment
+// headers alone and bodies fault in lazily. It is safe on a live engine;
+// the next request to a checkpointed class touches no disk. Returns the
+// number of class records written and the first append error.
+func (e *Engine) Checkpoint() (int, error) {
 	if e.spill == nil {
 		return 0, nil
 	}
 	var n int
 	var first error
 	for _, cs := range e.states() {
-		ok, err := cs.spillNow()
+		ok, err := cs.checkpoint()
 		if err != nil && first == nil {
 			first = err
 		}
@@ -249,31 +232,39 @@ func (e *Engine) SpillAll() (int, error) {
 			n++
 		}
 	}
-	// Persist grouping alongside the records: recovered spill keys are
-	// only reachable if the next boot classifies URLs to the same
-	// seq-numbered class IDs.
-	if err := e.saveGrouping(); err != nil && first == nil {
+	if err := e.checkpointGrouping(); err != nil && first == nil {
 		first = err
 	}
 	return n, first
 }
 
-// spillNow appends the class's current state to the tier without evicting
-// it, under faultMu like Evict so the class's records land in capture
-// order. It reports whether a record was written.
-func (cs *classState) spillNow() (bool, error) {
+// checkpoint appends the class's current state to the tier, under faultMu
+// like Evict so the class's records land in capture order. A class whose
+// spilled flag is set is skipped: its on-disk record is the truth. A
+// stripped class without one (its spill append failed, or its record was
+// dropped or corrupt) gets a counter-only record, so the version numbers
+// it announced are never re-minted for different bytes after a restart.
+// It reports whether a record was written.
+func (cs *classState) checkpoint() (bool, error) {
 	cs.faultMu.Lock()
 	defer cs.faultMu.Unlock()
-	cs.mu.Lock()
-	rec := cs.spillRecordLocked()
-	cs.mu.Unlock()
-	if rec == nil {
+	if cs.spilled.Load() {
 		return false, nil
+	}
+	cs.mu.RLock()
+	rec := cs.spillRecordLocked()
+	if rec == nil {
+		if _, v := cs.selector.Base(); v > 0 {
+			rec = &store.ClassRecord{Key: cs.id, SelectorVersion: v}
+		}
+	}
+	cs.mu.RUnlock()
+	if rec == nil {
+		return false, nil // never warmed: nothing to keep
 	}
 	if err := cs.spill.Append(*rec); err != nil {
 		return false, err
 	}
-	cs.spilled.Store(true)
 	return true, nil
 }
 

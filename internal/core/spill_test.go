@@ -168,15 +168,15 @@ func TestSpillRecoveryAcrossRestart(t *testing.T) {
 	e1 := spillEngine(t, dir, 0)
 	doc := renderDoc("gamma", 2, 0, "u1")
 	classID, version, base := warmHeld(t, e1, "www.shop.com/gamma/2", doc)
-	if n, err := e1.SpillAll(); err != nil || n != 1 {
-		t.Fatalf("SpillAll = (%d, %v), want (1, nil)", n, err)
+	if n, err := e1.Checkpoint(); err != nil || n != 1 {
+		t.Fatalf("Checkpoint = (%d, %v), want (1, nil)", n, err)
 	}
 	if err := e1.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	// A new process over the same spill dir recovers the index without any
-	// NDJSON replay; the class body faults in on first touch.
+	// A new process over the same spill dir recovers the index from segment
+	// headers; the class body faults in on first touch.
 	e2 := spillEngine(t, dir, 0)
 	if ts := e2.SpillStats(); ts.SpilledClasses != 1 {
 		t.Fatalf("recovered %d spilled classes, want 1", ts.SpilledClasses)
@@ -255,7 +255,7 @@ func TestSpillCorruptRecordDegradesLikeEviction(t *testing.T) {
 	// response — exactly the plain-eviction contract. The client claims no
 	// held version: the version counter died with the record, so a
 	// restarted class re-mints numbers (the same exposure as restarting
-	// with no NDJSON state).
+	// on an empty spill dir).
 	resp, err := e2.Process(Request{
 		URL: "www.shop.com/delta/0", UserID: "u1", Doc: doc,
 	})
@@ -294,110 +294,90 @@ func TestSpillCorruptRecordDegradesLikeEviction(t *testing.T) {
 }
 
 // Class keys embed a creation-order sequence number, so restart recovery
-// only works if the same URLs classify back to the same IDs. SpillAll
-// persists the grouping sidecar to make that hold even when post-restart
+// only works if the same URLs classify back to the same IDs. Checkpoint
+// writes the grouping record to make that hold even when post-restart
 // traffic arrives in a different order than the classes were created in.
+// With that one record corrupt the engine still boots: grouping re-learns
+// from traffic and the now unreachable class records degrade like plain
+// evictions.
 func TestSpillGroupingSurvivesRestart(t *testing.T) {
-	dir := t.TempDir()
-	e1 := spillEngine(t, dir, 0)
-	docA := renderDoc("alpha", 0, 0, "u1")
-	classA, verA, baseA := warmHeld(t, e1, "www.shop.com/alpha/0", docA)
-	docB := renderDoc("beta", 1, 0, "u1")
-	classB, verB, baseB := warmHeld(t, e1, "www.shop.com/beta/1", docB)
-	if classA == classB {
-		t.Fatalf("expected two distinct classes, both mapped to %q", classA)
-	}
-	if n, err := e1.SpillAll(); err != nil || n != 2 {
-		t.Fatalf("SpillAll = (%d, %v), want (2, nil)", n, err)
-	}
-	if err := e1.Close(); err != nil {
-		t.Fatal(err)
-	}
+	for _, corruptGrouping := range []bool{false, true} {
+		t.Run(fmt.Sprintf("corruptGrouping=%v", corruptGrouping), func(t *testing.T) {
+			dir := t.TempDir()
+			e1 := spillEngine(t, dir, 0)
+			docA := renderDoc("alpha", 0, 0, "u1")
+			classA, verA, baseA := warmHeld(t, e1, "www.shop.com/alpha/0", docA)
+			docB := renderDoc("beta", 1, 0, "u1")
+			classB, verB, baseB := warmHeld(t, e1, "www.shop.com/beta/1", docB)
+			if classA == classB {
+				t.Fatalf("expected two distinct classes, both mapped to %q", classA)
+			}
+			if n, err := e1.Checkpoint(); err != nil || n != 2 {
+				t.Fatalf("Checkpoint = (%d, %v), want (2, nil)", n, err)
+			}
+			if err := e1.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if corruptGrouping {
+				// One segment, grouping record last: the flipped byte is its.
+				corruptSegments(t, dir)
+			}
 
-	// Touch the classes in the OPPOSITE order of their creation. Without
-	// the sidecar the manager re-mints sequence numbers by arrival order,
-	// the keys miss the recovered spill index, and both requests re-warm
-	// as brand-new classes instead of faulting in.
-	e2 := spillEngine(t, dir, 0)
-	for _, c := range []struct {
-		url, dept string
-		item      int
-		classID   string
-		version   int
-		base      []byte
-	}{
-		{"www.shop.com/beta/1", "beta", 1, classB, verB, baseB},
-		{"www.shop.com/alpha/0", "alpha", 0, classA, verA, baseA},
-	} {
-		doc := renderDoc(c.dept, c.item, 9, "u1")
-		resp, err := e2.Process(Request{
-			URL: c.url, UserID: "u1", Doc: doc,
-			HaveClassID: c.classID, HaveVersion: c.version,
+			// Touch the classes in the OPPOSITE order of their creation.
+			// Without the grouping record the manager re-mints sequence
+			// numbers by arrival order, the keys miss the recovered index,
+			// and both requests re-warm as brand-new classes instead of
+			// faulting in.
+			e2 := spillEngine(t, dir, 0)
+			if gs, _ := e2.GroupingStats(); corruptGrouping != (gs.Classes == 0) {
+				t.Fatalf("booted with %d known classes (grouping corrupt: %v)", gs.Classes, corruptGrouping)
+			}
+			for _, c := range []struct {
+				url, dept string
+				item      int
+				classID   string
+				version   int
+				base      []byte
+			}{
+				{"www.shop.com/beta/1", "beta", 1, classB, verB, baseB},
+				{"www.shop.com/alpha/0", "alpha", 0, classA, verA, baseA},
+			} {
+				doc := renderDoc(c.dept, c.item, 9, "u1")
+				resp, err := e2.Process(Request{
+					URL: c.url, UserID: "u1", Doc: doc,
+					HaveClassID: c.classID, HaveVersion: c.version,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if corruptGrouping {
+					if resp.ClassID == c.classID || resp.Kind != KindFull {
+						t.Fatalf("%s: class=%q kind=%v, want a re-minted class serving a full response", c.url, resp.ClassID, resp.Kind)
+					}
+					continue
+				}
+				if resp.ClassID != c.classID {
+					t.Fatalf("%s re-minted as %q, want %q", c.url, resp.ClassID, c.classID)
+				}
+				if resp.Kind != KindDelta || resp.BaseVersion != c.version {
+					t.Fatalf("%s: kind=%v baseVersion=%d, want delta against %d", c.url, resp.Kind, resp.BaseVersion, c.version)
+				}
+				got, err := e2.DecodeAs(c.base, resp.Payload, resp.Gzipped, resp.Format)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, doc) {
+					t.Fatalf("%s: fault-in delta did not reconstruct the document", c.url)
+				}
+			}
+			ts := e2.SpillStats()
+			if wantFI := map[bool]int64{false: 2, true: 0}[corruptGrouping]; ts.FaultIns != wantFI {
+				t.Fatalf("FaultIns = %d, want %d", ts.FaultIns, wantFI)
+			}
+			if corruptGrouping && (ts.Errors != 1 || ts.SpilledClasses != 2) {
+				t.Fatalf("want one read error and two orphaned records, got %+v", ts)
+			}
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resp.ClassID != c.classID {
-			t.Fatalf("%s re-minted as %q, want %q", c.url, resp.ClassID, c.classID)
-		}
-		if resp.Kind != KindDelta || resp.BaseVersion != c.version {
-			t.Fatalf("%s: kind=%v baseVersion=%d, want delta against %d", c.url, resp.Kind, resp.BaseVersion, c.version)
-		}
-		got, err := e2.DecodeAs(c.base, resp.Payload, resp.Gzipped, resp.Format)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, doc) {
-			t.Fatalf("%s: fault-in delta did not reconstruct the document", c.url)
-		}
-	}
-	if ts := e2.SpillStats(); ts.FaultIns != 2 {
-		t.Fatalf("FaultIns = %d, want 2", ts.FaultIns)
-	}
-}
-
-func TestSpillNDJSONStillLoadsAndWins(t *testing.T) {
-	dir := t.TempDir()
-	e1 := spillEngine(t, dir, 0)
-	doc := renderDoc("eps", 1, 0, "u1")
-	classID, version, base := warmHeld(t, e1, "www.shop.com/eps/1", doc)
-	var snap bytes.Buffer
-	if err := e1.SaveState(&snap); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := e1.EvictClass(classID); !ok {
-		t.Fatal("evict failed")
-	}
-	e1.Close()
-
-	// A v2 NDJSON snapshot still loads into a spill-enabled engine; the
-	// resident NDJSON state wins over the (older) spill record, whose
-	// version counter is merged as a high-water mark and whose bytes are
-	// discarded.
-	e2 := spillEngine(t, dir, 0)
-	if err := e2.LoadState(bytes.NewReader(snap.Bytes())); err != nil {
-		t.Fatal(err)
-	}
-	doc2 := renderDoc("eps", 1, 4, "u1")
-	resp, err := e2.Process(Request{
-		URL: "www.shop.com/eps/1", UserID: "u1", Doc: doc2,
-		HaveClassID: classID, HaveVersion: version,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.Kind != KindDelta || resp.BaseVersion != version {
-		t.Fatalf("NDJSON-restored class: kind=%v baseVersion=%d, want delta against %d", resp.Kind, resp.BaseVersion, version)
-	}
-	if got, err := e2.DecodeAs(base, resp.Payload, resp.Gzipped, resp.Format); err != nil || !bytes.Equal(got, doc2) {
-		t.Fatalf("NDJSON-restored delta reconstruction failed: %v", err)
-	}
-	st, _ := e2.ClassStats(classID)
-	if st.FaultIns != 0 {
-		t.Fatalf("stale spill record must be discarded, not installed (faultIns=%d)", st.FaultIns)
-	}
-	if ts := e2.SpillStats(); ts.SpilledClasses != 0 {
-		t.Fatalf("stale spill record must be consumed from the index: %+v", ts)
 	}
 }
 

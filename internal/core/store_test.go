@@ -3,7 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
-	"io"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -232,12 +232,13 @@ func TestLedgerDrainsToZero(t *testing.T) {
 
 // TestConcurrentProcessEvictSave is the race-detector stress for the
 // governed store: concurrent clients (delta decode verified byte-for-byte
-// against the origin document), budget sweeps triggered by every request,
-// and a snapshotter saving state and re-loading it into fresh engines
-// while eviction churns underneath.
+// against the origin document), budget sweeps triggered by every request
+// demoting classes into the disk tier, and a checkpointer appending every
+// resident class's record while eviction and fault-in churn underneath.
 func TestConcurrentProcessEvictSave(t *testing.T) {
 	const budget = 32 << 10
-	e := budgetedEngine(t, budget)
+	dir := t.TempDir()
+	e := spillEngine(t, dir, budget)
 
 	depts := []string{"alpha", "beta", "gamma", "delta"}
 	const workers = 4
@@ -246,8 +247,8 @@ func TestConcurrentProcessEvictSave(t *testing.T) {
 	var workersWG sync.WaitGroup
 	done := make(chan struct{})
 
-	// Snapshotter: SaveState must stay consistent (and loadable) while
-	// classes evict and re-warm underneath it.
+	// Checkpointer: must stay consistent while classes evict, spill and
+	// fault back in underneath it.
 	snapDone := make(chan struct{})
 	go func() {
 		defer close(snapDone)
@@ -257,26 +258,12 @@ func TestConcurrentProcessEvictSave(t *testing.T) {
 				return
 			default:
 			}
-			var buf bytes.Buffer
-			if err := e.SaveState(&buf); err != nil {
-				t.Errorf("SaveState under churn: %v", err)
-				return
-			}
-			fresh, err := NewEngine(Config{MemBudget: budget, DisableAnonymization: true})
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			if err := fresh.LoadState(&buf); err != nil {
-				t.Errorf("LoadState of churn snapshot: %v", err)
+			if _, err := e.Checkpoint(); err != nil {
+				t.Errorf("Checkpoint under churn: %v", err)
 				return
 			}
 			e.StoreStats()
 			e.AllClassStats()
-			if err := e.SaveState(io.Discard); err != nil {
-				t.Errorf("SaveState to discard: %v", err)
-				return
-			}
 		}
 	}()
 
@@ -344,6 +331,31 @@ func TestConcurrentProcessEvictSave(t *testing.T) {
 	}
 	if got := e.StoreStats().Resident.Total; got > budget {
 		t.Fatalf("resident bytes %d exceed budget %d after quiesce", got, budget)
+	}
+
+	// Only evictions flag classes: a checkpoint of the now quiescent engine
+	// leaves the flagged set exactly as it found it.
+	flagged := func() []string {
+		var ids []string
+		for _, st := range e.AllClassStats() {
+			if st.Spilled {
+				ids = append(ids, st.ID)
+			}
+		}
+		return ids
+	}
+	before := flagged()
+	if _, err := e.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if after := flagged(); !reflect.DeepEqual(before, after) {
+		t.Fatalf("Checkpoint changed the spilled set: %v -> %v", before, after)
+	}
+	// Every class that ever minted a version has a record for a restart.
+	classes := len(e.AllClassStats())
+	e.Close()
+	if got := spillEngine(t, dir, budget).SpillStats(); got.SpilledClasses != classes || got.Errors != 0 {
+		t.Fatalf("restart recovered %d of %d classes: %+v", got.SpilledClasses, classes, got)
 	}
 }
 

@@ -1,5 +1,5 @@
-// Spill blob codec: one evicted class serialized as a compact binary
-// record for the disk tier.
+// Spill blob codec: one class serialized as a compact binary record for
+// the disk tier.
 //
 // A record payload is a sequence of length-prefixed sections:
 //
@@ -12,9 +12,9 @@
 //	    ascending chain, delta from the previous version), body(bytes)
 //	uvarint candCount, then per candidate: uvarint tagLen, tag, body
 //	uvarint refCount, same shape as candidates
-//	(v2 records only) uvarint edgeCount, then per edge: uvarint from,
-//	    uvarint to, one flag byte (1 = payload is gzip-compressed on the
-//	    wire), uvarint rawLen, uvarint payloadLen, payload bytes verbatim
+//	uvarint edgeCount, then per edge: uvarint from, uvarint to, one flag
+//	    byte (1 = payload is gzip-compressed on the wire), uvarint rawLen,
+//	    uvarint payloadLen, payload bytes verbatim
 //
 // where body is: one flag byte (0 raw, 1 gzip), uvarint rawLen, then
 // either rawLen raw bytes or uvarint storedLen + storedLen gzip bytes.
@@ -63,9 +63,9 @@ type EdgeBlob struct {
 
 // ClassRecord is the spillable state of one class: everything needed to
 // fault the class back in and resume serving deltas against the versions
-// clients already hold. Grouping state is deliberately not included — a
-// class key plus its (version → bytes) map is sufficient for delta
-// correctness, and grouping re-mints deterministically from traffic.
+// clients already hold. Grouping state is not included — a class key plus
+// its (version → bytes) map is sufficient for delta correctness; the
+// engine keeps grouping in one record of its own under GroupingKey.
 type ClassRecord struct {
 	Key             string
 	DistVersion     int
@@ -295,11 +295,9 @@ func (c *cursor) body() []byte {
 	}
 }
 
-// decodeRecordPayload parses one record payload. hasEdges selects the v2
-// layout (CBS2 framing), which appends an edges section after the refs;
-// v1 payloads end at the refs and decode to an edge-less record. The input
-// buffer may be pooled: all returned byte slices are freshly allocated.
-func decodeRecordPayload(data []byte, hasEdges bool) (ClassRecord, error) {
+// decodeRecordPayload parses one record payload. The input buffer may be
+// pooled: all returned byte slices are freshly allocated.
+func decodeRecordPayload(data []byte) (ClassRecord, error) {
 	c := &cursor{b: data}
 	var rec ClassRecord
 	rec.Key = c.str()
@@ -324,34 +322,32 @@ func decodeRecordPayload(data []byte, hasEdges bool) (ClassRecord, error) {
 			*dst = append(*dst, TaggedDoc{Tag: c.str(), Bytes: c.body()})
 		}
 	}
-	if hasEdges {
-		nEdges := c.length()
-		for i := 0; i < nEdges && !c.bad; i++ {
-			var e EdgeBlob
-			e.From = int(c.uvarint())
-			e.To = int(c.uvarint())
-			switch c.byte() {
-			case bodyRaw:
-			case bodyGzip:
-				e.Gzipped = true
-			default:
-				c.fail()
-			}
-			rawLen := c.uvarint()
-			if rawLen > maxSpillSection {
-				c.fail()
-			}
-			e.RawLen = int(rawLen)
-			stored := c.take(c.length())
-			if c.bad {
-				break
-			}
-			if len(stored) > 0 {
-				e.Payload = make([]byte, len(stored))
-				copy(e.Payload, stored)
-			}
-			rec.Edges = append(rec.Edges, e)
+	nEdges := c.length()
+	for i := 0; i < nEdges && !c.bad; i++ {
+		var e EdgeBlob
+		e.From = int(c.uvarint())
+		e.To = int(c.uvarint())
+		switch c.byte() {
+		case bodyRaw:
+		case bodyGzip:
+			e.Gzipped = true
+		default:
+			c.fail()
 		}
+		rawLen := c.uvarint()
+		if rawLen > maxSpillSection {
+			c.fail()
+		}
+		e.RawLen = int(rawLen)
+		stored := c.take(c.length())
+		if c.bad {
+			break
+		}
+		if len(stored) > 0 {
+			e.Payload = make([]byte, len(stored))
+			copy(e.Payload, stored)
+		}
+		rec.Edges = append(rec.Edges, e)
 	}
 	if c.bad || rec.Key == "" || c.off != len(data) {
 		return ClassRecord{}, errCorruptRecord

@@ -1,16 +1,19 @@
-// Disk tier: evicted classes are demoted to append-only segment files
-// instead of being dropped, and faulted back in on demand.
+// Disk tier: the one way class state reaches disk. Evicted classes are
+// demoted to append-only segment files instead of being dropped and
+// faulted back in on demand; engine checkpoints append the current record
+// of every resident class to the same segments.
 //
 // Layout: a spill directory holds numbered segment files
 // (spill-00000001.seg, ...). Each record is framed as
 //
-//	magic "CBS1" | uvarint payloadLen | crc32(payload) LE | payload
+//	magic "CBS2" | uvarint payloadLen | crc32(payload) LE | payload
 //
 // with the payload encoded by the blob codec (blob.go). An in-memory
-// index maps class key → (segment, offset, length) for O(1) lookup;
-// Take removes the index entry so a faulted-in class can never be
-// resurrected from a stale blob by a later eviction — the next eviction
-// appends a fresh record.
+// index maps key → (segment, offset, length) for O(1) lookup; the latest
+// record appended for a key wins. Get reads a record and leaves it
+// indexed; Take also removes the index entry so a faulted-in class can
+// never be resurrected from a stale blob by a later eviction — the next
+// eviction or checkpoint appends a fresh record.
 //
 // Recovery re-opens the directory, scans record headers (key only, the
 // body is skipped with a buffered discard) and rebuilds the index without
@@ -20,10 +23,13 @@
 // from traffic, exactly like a plain eviction.
 //
 // Segments recovered from disk are sealed: appends always go to a fresh
-// segment, so offsets indexed during a scan stay valid forever. When
-// MaxBytes is set, oldest-first segment deletion bounds the tier; classes
-// whose only record lived in a dropped segment are counted as drops and
-// degrade like plain evictions.
+// segment, so offsets indexed during a scan stay valid forever. A sealed
+// segment that no index entry points into any more is deleted on the next
+// append, so evict → fault-in cycles and recurring checkpoints do not
+// accumulate dead bytes. When MaxBytes is set, oldest-first segment
+// deletion additionally bounds the tier; classes whose only record lived
+// in a dropped segment are counted as drops and degrade like plain
+// evictions.
 package store
 
 import (
@@ -40,13 +46,15 @@ import (
 	"sync/atomic"
 )
 
+// GroupingKey is the reserved key of the engine's grouping record (the
+// classify manager's export, stored as the record's selector base). It is
+// framed, indexed and superseded like any class record but is not a class:
+// no class key starts with a NUL byte, and Len, SpilledClasses and Drops
+// leave it out.
+const GroupingKey = "\x00grouping"
+
 const (
-	// spillMagic frames v1 records (no edges section); spillMagicV2 frames
-	// v2 records, whose payload carries the version-graph edges after the
-	// refs. Appends always write v2; both decode, so a spill directory
-	// written by an older build recovers losslessly (to edge-less classes).
-	spillMagic          = "CBS1"
-	spillMagicV2        = "CBS2"
+	spillMagic          = "CBS2"
 	segmentPattern      = "spill-%08d.seg"
 	defaultSegmentBytes = 4 << 20
 	maxSpillPayload     = 1 << 30
@@ -107,7 +115,6 @@ type Tier struct {
 	closed bool
 
 	spills atomic.Int64 // successful Appends
-	takes  atomic.Int64 // successful Takes
 	drops  atomic.Int64 // classes lost to budget compaction
 	errs   atomic.Int64 // append/read/decode failures
 }
@@ -190,7 +197,7 @@ func (t *Tier) scanSegment(seg *segment) {
 		if _, err := io.ReadFull(cr, magic[:]); err != nil {
 			break
 		}
-		if string(magic[:]) != spillMagic && string(magic[:]) != spillMagicV2 {
+		if string(magic[:]) != spillMagic {
 			break
 		}
 		payloadLen, err := binary.ReadUvarint(cr)
@@ -243,7 +250,7 @@ func (t *Tier) Append(rec ClassRecord) error {
 
 	out := getScratch()
 	defer putScratch(out)
-	b := append(out.buf[:0], spillMagicV2...)
+	b := append(out.buf[:0], spillMagic...)
 	b = binary.AppendUvarint(b, uint64(len(payload)))
 	b = binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(payload))
 	b = append(b, payload...)
@@ -293,9 +300,16 @@ func (t *Tier) Append(rec ClassRecord) error {
 	return nil
 }
 
-// compactLocked deletes oldest segments until the tier fits MaxBytes,
-// never touching the segment that just received an append.
+// compactLocked deletes every sealed segment no index entry points into
+// (budget or not — those bytes can never be read again), then oldest
+// segments until the tier fits MaxBytes, never touching the segment that
+// just received an append.
 func (t *Tier) compactLocked(keep *segment) {
+	for i := len(t.segs) - 1; i >= 0; i-- {
+		if s := t.segs[i]; s.liveN == 0 && s != t.active {
+			t.dropSegmentLocked(s)
+		}
+	}
 	if t.cfg.MaxBytes <= 0 {
 		return
 	}
@@ -312,13 +326,20 @@ func (t *Tier) totalLocked() int64 {
 	return n
 }
 
+// dropSegmentLocked deletes seg and counts the classes whose record lived
+// in it as drops.
 func (t *Tier) dropSegmentLocked(seg *segment) {
-	for key, ref := range t.idx {
-		if ref.seg == seg {
+	if seg.liveN > 0 {
+		for key, ref := range t.idx {
+			if ref.seg != seg {
+				continue
+			}
 			delete(t.idx, key)
+			if key != GroupingKey {
+				t.drops.Add(1)
+			}
 		}
 	}
-	t.drops.Add(int64(seg.liveN))
 	seg.f.Close()
 	os.Remove(seg.path)
 	if t.active == seg {
@@ -340,19 +361,34 @@ func (t *Tier) Contains(key string) bool {
 	return ok
 }
 
-// Len reports the number of spilled classes currently indexed.
+// classesLocked is the number of indexed class records: every index entry
+// but the grouping record.
+func (t *Tier) classesLocked() int {
+	n := len(t.idx)
+	if _, ok := t.idx[GroupingKey]; ok {
+		n--
+	}
+	return n
+}
+
+// Len reports the number of classes with a record currently indexed.
 func (t *Tier) Len() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return len(t.idx)
+	return t.classesLocked()
 }
 
-// Take reads, verifies, and decodes the record for key, removing it from
-// the index. A missing key returns ok=false with no error; a corrupt
-// record (bad CRC, truncated body) is counted, removed, and also returns
-// ok=false — the caller degrades exactly as if the class had been
-// plainly evicted.
-func (t *Tier) Take(key string) (ClassRecord, bool) {
+// Get reads, verifies, and decodes the record for key, leaving it indexed.
+// A missing key returns ok=false with no error; so does a corrupt record
+// (bad CRC, truncated body), which is also counted as an error.
+func (t *Tier) Get(key string) (ClassRecord, bool) { return t.read(key, false) }
+
+// Take is Get plus removing the key from the index, whether or not the
+// record decoded: after a corrupt read the caller degrades exactly as if
+// the class had been plainly evicted.
+func (t *Tier) Take(key string) (ClassRecord, bool) { return t.read(key, true) }
+
+func (t *Tier) read(key string, drop bool) (ClassRecord, bool) {
 	buf := getScratch()
 	defer putScratch(buf)
 
@@ -362,57 +398,49 @@ func (t *Tier) Take(key string) (ClassRecord, bool) {
 		t.mu.Unlock()
 		return ClassRecord{}, false
 	}
-	delete(t.idx, key)
-	ref.seg.live -= ref.n
-	ref.seg.liveN--
+	if drop {
+		delete(t.idx, key)
+		ref.seg.live -= ref.n
+		ref.seg.liveN--
+	}
 	if cap(buf.buf) < int(ref.n) {
 		buf.buf = make([]byte, ref.n)
 	}
 	b := buf.buf[:ref.n]
 	_, err := ref.seg.f.ReadAt(b, ref.off)
 	t.mu.Unlock()
+
+	var rec ClassRecord
+	if err == nil {
+		rec, err = decodeFrame(b)
+	}
 	if err != nil {
 		t.errs.Add(1)
 		return ClassRecord{}, false
 	}
+	return rec, true
+}
 
-	if len(b) < len(spillMagic) {
-		t.errs.Add(1)
-		return ClassRecord{}, false
-	}
-	hasEdges := false
-	switch string(b[:len(spillMagic)]) {
-	case spillMagic:
-	case spillMagicV2:
-		hasEdges = true
-	default:
-		t.errs.Add(1)
-		return ClassRecord{}, false
+// decodeFrame verifies one framed record (magic, length, CRC) and decodes
+// its payload.
+func decodeFrame(b []byte) (ClassRecord, error) {
+	if len(b) < len(spillMagic) || string(b[:len(spillMagic)]) != spillMagic {
+		return ClassRecord{}, errCorruptRecord
 	}
 	rest := b[len(spillMagic):]
 	payloadLen, un := binary.Uvarint(rest)
 	if un <= 0 {
-		t.errs.Add(1)
-		return ClassRecord{}, false
+		return ClassRecord{}, errCorruptRecord
 	}
 	rest = rest[un:]
 	if len(rest) != 4+int(payloadLen) {
-		t.errs.Add(1)
-		return ClassRecord{}, false
+		return ClassRecord{}, errCorruptRecord
 	}
-	crc := binary.LittleEndian.Uint32(rest[:4])
 	payload := rest[4:]
-	if crc32.ChecksumIEEE(payload) != crc {
-		t.errs.Add(1)
-		return ClassRecord{}, false
+	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(rest[:4]) {
+		return ClassRecord{}, errCorruptRecord
 	}
-	rec, err := decodeRecordPayload(payload, hasEdges)
-	if err != nil {
-		t.errs.Add(1)
-		return ClassRecord{}, false
-	}
-	t.takes.Add(1)
-	return rec, true
+	return decodeRecordPayload(payload)
 }
 
 // Stats snapshots the tier. FaultIns is owned by the engine (a take only
@@ -426,7 +454,7 @@ func (t *Tier) Stats() TierStats {
 		Dir:            t.cfg.Dir,
 		BudgetBytes:    t.cfg.MaxBytes,
 		Segments:       len(t.segs),
-		SpilledClasses: len(t.idx),
+		SpilledClasses: t.classesLocked(),
 		Spills:         t.spills.Load(),
 		Drops:          t.drops.Load(),
 		Errors:         t.errs.Load(),
@@ -438,8 +466,8 @@ func (t *Tier) Stats() TierStats {
 	return st
 }
 
-// Close closes all segment files. Further Appends fail; Takes return
-// ok=false.
+// Close closes all segment files. Further Appends fail; Get and Take
+// return ok=false.
 func (t *Tier) Close() error {
 	t.mu.Lock()
 	defer t.mu.Unlock()

@@ -55,7 +55,7 @@ func FuzzSpillRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatalf("encode rejected a well-formed record: %v", err)
 		}
-		got, err := decodeRecordPayload(payload, true)
+		got, err := decodeRecordPayload(payload)
 		if err != nil {
 			t.Fatalf("decode of fresh payload failed: %v", err)
 		}
@@ -96,10 +96,9 @@ func FuzzSpillRoundTrip(f *testing.F) {
 		}
 
 		// Decoding arbitrary bytes must never panic; errors are fine.
-		decodeRecordPayload(seed, true)
-		decodeRecordPayload(seed, false)
+		decodeRecordPayload(seed)
 		if len(payload) > 1 {
-			decodeRecordPayload(payload[:len(payload)/2], true)
+			decodeRecordPayload(payload[:len(payload)/2])
 		}
 	})
 }

@@ -86,41 +86,13 @@ func TestBlobRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := decodeRecordPayload(payload, true)
+	got, err := decodeRecordPayload(payload)
 	if err != nil {
 		t.Fatal(err)
 	}
 	recordsEqual(t, got, want)
 	if want.MemoryBytes() != got.MemoryBytes() {
 		t.Fatalf("memory bytes changed across round trip: %d != %d", want.MemoryBytes(), got.MemoryBytes())
-	}
-}
-
-// TestBlobV1BackCompat proves a pre-edges (CBS1) payload — exactly the v2
-// payload truncated before the edges section — still decodes to a working
-// edge-less record under the v1 layout, and that the strict end-of-payload
-// check rejects the same bytes when read as v2.
-func TestBlobV1BackCompat(t *testing.T) {
-	want := testRecord("www.shop.com/laptops#1", 7)
-	noEdges := want
-	noEdges.Edges = nil
-	v1, err := appendRecordPayload(nil, &noEdges)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A v1 writer stopped after the refs: strip the empty edges section the
-	// v2 encoder appended (a single zero-count uvarint byte).
-	if v1[len(v1)-1] != 0 {
-		t.Fatalf("expected trailing zero edge count, got %#x", v1[len(v1)-1])
-	}
-	v1 = v1[:len(v1)-1]
-	got, err := decodeRecordPayload(v1, false)
-	if err != nil {
-		t.Fatalf("v1 payload failed to decode under v1 layout: %v", err)
-	}
-	recordsEqual(t, got, noEdges)
-	if _, err := decodeRecordPayload(v1, true); err == nil {
-		t.Fatal("v1 payload decoded as v2 without error")
 	}
 }
 
@@ -138,7 +110,7 @@ func TestBlobRejectsBadRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 	for n := 0; n < len(payload); n++ {
-		if _, err := decodeRecordPayload(payload[:n], true); err == nil {
+		if _, err := decodeRecordPayload(payload[:n]); err == nil {
 			t.Fatalf("truncation to %d bytes decoded without error", n)
 		}
 	}
@@ -163,6 +135,13 @@ func TestTierAppendTakeRecover(t *testing.T) {
 		recs[i] = testRecord(fmt.Sprintf("class#%d", i), i+2)
 		if err := tier.Append(recs[i]); err != nil {
 			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 2; i++ { // Get leaves the record indexed
+		if got, ok := tier.Get("class#3"); !ok {
+			t.Fatal("Get(class#3) missed")
+		} else {
+			recordsEqual(t, got, recs[3])
 		}
 	}
 	if got, ok := tier.Take("class#3"); !ok {
@@ -266,7 +245,7 @@ func TestTierTornTailRecovery(t *testing.T) {
 	if tier2.Contains("class#b") {
 		t.Fatal("torn record survived recovery")
 	}
-	got, ok := tier2.Take("class#a")
+	got, ok := tier2.Get("class#a")
 	if !ok {
 		t.Fatal("intact record before the tear must survive")
 	}
@@ -352,5 +331,70 @@ func TestTierDiskBudgetCompaction(t *testing.T) {
 	}
 	if st.SpilledClasses+int(st.Drops) != 40 {
 		t.Fatalf("index (%d) + drops (%d) != 40 appends", st.SpilledClasses, st.Drops)
+	}
+}
+
+// TestTierReclaimsDeadSegments: without a disk budget, evict → fault-in
+// cycles must not leave fully dead segments behind, and reclaiming them is
+// not a drop — no class lost anything.
+func TestTierReclaimsDeadSegments(t *testing.T) {
+	dir := t.TempDir()
+	tier := openTestTier(t, dir, TierConfig{SegmentBytes: 1}) // rotate every append
+	for i := 0; i < 20; i++ {
+		rec := testRecord("class#1", i+2)
+		if err := tier.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+		got, ok := tier.Take("class#1")
+		if !ok {
+			t.Fatalf("cycle %d: Take missed", i)
+		}
+		recordsEqual(t, got, rec)
+	}
+	if files := segmentFiles(t, dir); len(files) > 2 {
+		t.Fatalf("%d segment files after 20 append/take cycles, want <= 2: %v", len(files), files)
+	}
+	if st := tier.Stats(); st.Drops != 0 || st.Segments > 2 {
+		t.Fatalf("dead-segment reclamation counted as drops or skipped: %+v", st)
+	}
+
+	// Superseded records die the same way: re-appending one key (what a
+	// recurring checkpoint does) keeps exactly the newest record on disk.
+	for i := 0; i < 20; i++ {
+		if err := tier.Append(testRecord("class#2", i+2)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := tier.Stats()
+	if st.Drops != 0 || st.Segments > 2 || st.DiskBytes != st.LiveBytes {
+		t.Fatalf("superseded records not reclaimed: %+v", st)
+	}
+	if got, ok := tier.Get("class#2"); !ok || got.SelectorVersion != 21 {
+		t.Fatalf("newest record lost to reclamation: ok=%v version=%d", ok, got.SelectorVersion)
+	}
+}
+
+// TestTierGroupingKeyIsNotAClass: the reserved grouping record is stored
+// and superseded like any other but never counted as a class.
+func TestTierGroupingKeyIsNotAClass(t *testing.T) {
+	dir := t.TempDir()
+	tier := openTestTier(t, dir, TierConfig{})
+	if err := tier.Append(testRecord("class#1", 3)); err != nil {
+		t.Fatal(err)
+	}
+	for _, body := range []string{"old grouping", "new grouping"} {
+		if err := tier.Append(ClassRecord{Key: GroupingKey, SelectorBase: []byte(body)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tier.Close()
+
+	tier2 := openTestTier(t, dir, TierConfig{})
+	if n, st := tier2.Len(), tier2.Stats(); n != 1 || st.SpilledClasses != 1 {
+		t.Fatalf("Len = %d, SpilledClasses = %d, want 1 and 1", n, st.SpilledClasses)
+	}
+	rec, ok := tier2.Get(GroupingKey)
+	if !ok || string(rec.SelectorBase) != "new grouping" {
+		t.Fatalf("recovered grouping record = %q, ok=%v", rec.SelectorBase, ok)
 	}
 }
