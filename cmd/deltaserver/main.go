@@ -237,6 +237,9 @@ func run(args []string) error {
 	if *spillDir != "" {
 		ts := eng.SpillStats()
 		log.Printf("deltaserver: disk tier at %s (budget %d bytes, %d classes recovered)", *spillDir, diskBytes, ts.SpilledClasses)
+		if ts.SkippedSegments > 0 {
+			log.Printf("deltaserver: ignored %d spill segments with no readable record (written by an older build?); their classes re-warm from traffic", ts.SkippedSegments)
+		}
 	}
 
 	// Signals are caught before the listener opens, so there is no window

@@ -222,7 +222,11 @@ type HeldBase struct {
 type Request struct {
 	URL    string // full request URL
 	UserID string // requesting user (cookie-derived in the paper)
-	Doc    []byte // current snapshot of the dynamic document
+	// Doc is the current snapshot of the dynamic document. Process only
+	// borrows it: whatever the engine keeps (a candidate, a base-file, an
+	// anonymization source, a class's match base) it copies, so the caller
+	// may reuse the slice the moment Process returns.
+	Doc []byte
 
 	// Held lists the base-files the client holds for this server. The
 	// client cannot know which class an unseen URL belongs to, so it

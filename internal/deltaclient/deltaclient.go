@@ -11,12 +11,12 @@ package deltaclient
 
 import (
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"sync"
 	"time"
 
+	"cbde/internal/bodybuf"
 	"cbde/internal/deltahttp"
 	"cbde/internal/gzipx"
 	"cbde/internal/vcdiff"
@@ -81,6 +81,11 @@ type Stats struct {
 	BaseBytes      int64 // base-file bytes downloaded
 	BaseEvictions  int   // base-files evicted from the bounded cache
 }
+
+// maxBody bounds every body the client reads and every delta it inflates:
+// nothing larger than the decoder would reconstruct is worth buffering. A
+// variable only so tests can shrink it.
+var maxBody = vdelta.MaxDecodeTarget
 
 // maxAdvertisedBases bounds the HeaderHave size; clients rarely hold more
 // than a handful of class base-files per server.
@@ -169,7 +174,19 @@ func (c *Client) Get(path string) ([]byte, error) {
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("deltaclient: %s returned status %d", path, resp.StatusCode)
 	}
-	body, err := io.ReadAll(resp.Body)
+	// A full document is the caller's, so it is read into its own slice (one
+	// exact allocation when the server states the length); a delta or chain
+	// is dead once decoded, so it is read into a pooled buffer.
+	enc := resp.Header.Get(deltahttp.HeaderEncoding)
+	var body []byte
+	if enc != "" {
+		buf := bodybuf.Get()
+		defer buf.Release()
+		buf.B, err = bodybuf.Read(buf.B, resp.Body, resp.ContentLength, maxBody)
+		body = buf.B
+	} else {
+		body, err = bodybuf.Read(nil, resp.Body, resp.ContentLength, maxBody)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("deltaclient: read response: %w", err)
 	}
@@ -183,7 +200,7 @@ func (c *Client) Get(path string) ([]byte, error) {
 	c.mu.Unlock()
 
 	var doc []byte
-	switch enc := resp.Header.Get(deltahttp.HeaderEncoding); enc {
+	switch enc {
 	case "":
 		c.mu.Lock()
 		c.stats.FullResponses++
@@ -267,14 +284,19 @@ func (c *Client) reconstructChain(classID string, version int, payload []byte) (
 	if err != nil {
 		return nil, fmt.Errorf("deltaclient: parse delta chain: %w", err)
 	}
+	scratch := bodybuf.Get()
+	defer scratch.Release()
 	cur := held.data
 	for i, s := range segs {
 		d := s.Payload
 		if s.Gzipped {
-			d, err = gzipx.Decompress(d)
+			// Decode copies what it keeps, so every segment inflates into
+			// the same scratch.
+			scratch.B, err = gzipx.AppendDecompress(scratch.B[:0], d, maxBody)
 			if err != nil {
 				return nil, fmt.Errorf("deltaclient: decompress chain segment %d: %w", i, err)
 			}
+			d = scratch.B
 		}
 		cur, err = vdelta.Decode(cur, d)
 		if err != nil {
@@ -298,15 +320,17 @@ func (c *Client) reconstruct(classID string, version int, payload []byte, gzippe
 		return nil, fmt.Errorf("deltaclient: server sent delta against %s v%d which the client does not hold", classID, version)
 	}
 	delta := payload
+	var err error
 	if gzipped {
-		d, err := gzipx.Decompress(payload)
+		scratch := bodybuf.Get()
+		defer scratch.Release()
+		scratch.B, err = gzipx.AppendDecompress(scratch.B, payload, maxBody)
 		if err != nil {
 			return nil, fmt.Errorf("deltaclient: decompress delta: %w", err)
 		}
-		delta = d
+		delta = scratch.B
 	}
 	var doc []byte
-	var err error
 	if isVCDIFF {
 		doc, err = vcdiff.Decode(held.data, delta)
 	} else {
@@ -333,7 +357,7 @@ func (c *Client) FetchBase(classID string, version int) error {
 	if resp.StatusCode != http.StatusOK {
 		return fmt.Errorf("deltaclient: base fetch returned status %d", resp.StatusCode)
 	}
-	data, err := io.ReadAll(resp.Body)
+	data, err := bodybuf.Read(nil, resp.Body, resp.ContentLength, maxBody)
 	if err != nil {
 		return fmt.Errorf("deltaclient: read base: %w", err)
 	}

@@ -385,6 +385,9 @@ func TestClusterRemoteBase(t *testing.T) {
 	if !bytes.Equal(body, ownerBase) {
 		t.Error("proxied base differs from the owner's")
 	}
+	if resp.ContentLength != int64(len(ownerBase)) {
+		t.Errorf("proxied base arrived with Content-Length %d, want the %d the owner stated", resp.ContentLength, len(ownerBase))
+	}
 	if got := st.clusters[other].Ctr.RemoteBase.Value(); got != 1 {
 		t.Errorf("RemoteBase = %d, want 1", got)
 	}

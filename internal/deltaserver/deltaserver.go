@@ -12,6 +12,7 @@ package deltaserver
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -23,6 +24,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"cbde/internal/bodybuf"
 	"cbde/internal/cluster"
 	"cbde/internal/core"
 	"cbde/internal/deltahttp"
@@ -237,7 +239,15 @@ func (s *Server) serveBase(w http.ResponseWriter, r *http.Request) {
 	h.Set("Cache-Control", fmt.Sprintf("public, max-age=%d", int(s.baseMaxAge.Seconds())))
 	h.Set(deltahttp.HeaderClass, classID)
 	h.Set(deltahttp.HeaderBaseVersion, strconv.Itoa(version))
-	_, _ = w.Write(base)
+	writeBody(w, base)
+}
+
+// writeBody writes a complete body under its Content-Length. Left to itself
+// net/http chunks anything past its 2 KB sniff buffer, and a client told the
+// length up front reads the body into one exactly-sized slice.
+func writeBody(w http.ResponseWriter, body []byte) {
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	_, _ = w.Write(body)
 }
 
 // proxyBase relays a base-file request to the owning peer. Reports whether
@@ -429,7 +439,7 @@ type reqRecord struct {
 	wire     int // payload bytes on the client-facing link
 	trace    *obs.Summary
 	traceCtx obs.TraceContext
-	capable  bool            // client advertised delta capability
+	capable  bool             // client advertised delta capability
 	reasons  flightrec.Reason // sampling triggers observed by the HTTP layer
 }
 
@@ -622,26 +632,44 @@ func (s *Server) serveDocumentLocal(w http.ResponseWriter, r *http.Request, rec 
 	// Name the trace on the response so clients (and an operator with
 	// curl -v) know which ID to look up in /_cbde/trace.
 	w.Header().Set(deltahttp.HeaderTrace, ctx.HeaderValue())
-	doc, contentType, status, err := s.fetchOrigin(r)
-	if err != nil {
+	// The snapshot lives in a pooled buffer for the length of this handler:
+	// the engine keeps nothing of Request.Doc past Process, and every path
+	// below has written doc by the time the buffer goes back.
+	buf := bodybuf.Get()
+	defer buf.Release()
+	origin, err := s.fetchOrigin(r, buf)
+	if origin != nil {
+		defer origin.Body.Close()
+	}
+	tooLarge := errors.Is(err, bodybuf.ErrTooLarge)
+	if err != nil && !tooLarge {
 		if rec != nil {
 			rec.outcome = "origin-error"
 		}
 		http.Error(w, fmt.Sprintf("origin fetch failed: %v", err), http.StatusBadGateway)
 		return
 	}
+	doc, contentType := buf.B, origin.Header.Get("Content-Type")
 	if rec != nil {
 		rec.docLen = len(doc)
 		rec.wire = len(doc)
 	}
-	if status != http.StatusOK {
-		// Pass non-OK origin responses through untouched.
+	if tooLarge || origin.StatusCode != http.StatusOK {
+		// Pass through untouched: a non-OK origin response, or a body too
+		// large to buffer — what was read, then the rest straight across.
 		if rec != nil {
 			rec.outcome = "passthrough"
 		}
 		w.Header().Set("Content-Type", contentType)
-		w.WriteHeader(status)
+		w.WriteHeader(origin.StatusCode)
 		_, _ = w.Write(doc)
+		if tooLarge {
+			n, _ := io.Copy(w, origin.Body)
+			if rec != nil {
+				rec.docLen += int(n)
+				rec.wire = rec.docLen
+			}
+		}
 		return
 	}
 
@@ -689,7 +717,7 @@ func (s *Server) serveDocumentLocal(w http.ResponseWriter, r *http.Request, rec 
 			rec.outcome = "engine-error"
 		}
 		w.Header().Set("Content-Type", contentType)
-		_, _ = w.Write(doc)
+		writeBody(w, doc)
 		return
 	}
 	if rec != nil {
@@ -727,23 +755,31 @@ func (s *Server) serveDocumentLocal(w http.ResponseWriter, r *http.Request, rec 
 		h.Set(deltahttp.HeaderBaseVersion, strconv.Itoa(resp.BaseVersion))
 		h.Set("Content-Type", "application/octet-stream")
 		h.Set("Cache-Control", "no-cache")
-		_, _ = w.Write(resp.Payload)
+		writeBody(w, resp.Payload)
 		return
 	}
 	h.Set("Content-Type", contentType)
 	h.Set("Cache-Control", "no-cache")
-	_, _ = w.Write(doc)
+	writeBody(w, doc)
 }
 
-// fetchOrigin retrieves the current document snapshot from the origin.
-func (s *Server) fetchOrigin(r *http.Request) (body []byte, contentType string, status int, err error) {
+// maxOriginBody is the largest origin body the server buffers (and so the
+// largest it delta-encodes); anything longer is relayed. A variable only so
+// tests can shrink it.
+var maxOriginBody = 64 << 20
+
+// fetchOrigin retrieves the current document snapshot from the origin into
+// buf, reading to EOF so the connection goes back to the idle pool. The
+// response is returned whenever the origin answered, for the caller to close;
+// with bodybuf.ErrTooLarge its Body still holds what buf does not.
+func (s *Server) fetchOrigin(r *http.Request, buf *bodybuf.Buf) (*http.Response, error) {
 	u := *s.origin
 	u.Path = r.URL.Path
 	u.RawQuery = r.URL.RawQuery
 
 	req, err := http.NewRequestWithContext(r.Context(), http.MethodGet, u.String(), nil)
 	if err != nil {
-		return nil, "", 0, fmt.Errorf("build origin request: %w", err)
+		return nil, fmt.Errorf("build origin request: %w", err)
 	}
 	// Forward identity so personalized origins render the right document.
 	if user := userOf(r); user != "" {
@@ -757,14 +793,13 @@ func (s *Server) fetchOrigin(r *http.Request) (body []byte, contentType string, 
 
 	resp, err := s.client.Do(req)
 	if err != nil {
-		return nil, "", 0, err
+		return nil, err
 	}
-	defer resp.Body.Close()
-	body, err = io.ReadAll(resp.Body)
+	buf.B, err = bodybuf.Read(buf.B, resp.Body, resp.ContentLength, maxOriginBody)
 	if err != nil {
-		return nil, "", 0, fmt.Errorf("read origin response: %w", err)
+		err = fmt.Errorf("read origin response: %w", err)
 	}
-	return body, resp.Header.Get("Content-Type"), resp.StatusCode, nil
+	return resp, err
 }
 
 // userOf extracts the user identity from the request (header, or the "uid"

@@ -11,9 +11,11 @@ package gzipx
 import (
 	"bytes"
 	"compress/gzip"
+	"encoding/binary"
 	"fmt"
-	"io"
 	"sync"
+
+	"cbde/internal/bodybuf"
 )
 
 // sliceWriter appends everything written to it to buf. It is the pooled
@@ -125,8 +127,18 @@ var decompressorPool = sync.Pool{
 }
 
 // Decompress inflates gzip-compressed data. The result is freshly allocated
-// and owned by the caller.
+// and owned by the caller. It is for the process's own bytes (spill records,
+// probes); input from outside goes through AppendDecompress with a real bound.
 func Decompress(data []byte) ([]byte, error) {
+	return AppendDecompress(nil, data, 1<<30) // the spill codec's section cap
+}
+
+// AppendDecompress appends the inflation of gzip-compressed data to dst and
+// returns the extended slice; it allocates nothing when dst has the room. A
+// stream that inflates to more than max bytes fails with bodybuf.ErrTooLarge
+// once the output passes max, so a small hostile payload cannot make the
+// caller allocate without bound. On error dst is returned unextended.
+func AppendDecompress(dst, data []byte, max int) ([]byte, error) {
 	d := decompressorPool.Get().(*decompressor)
 	defer func() {
 		d.src.Reset(nil) // do not retain caller memory in the pool
@@ -134,14 +146,19 @@ func Decompress(data []byte) ([]byte, error) {
 	}()
 	d.src.Reset(data)
 	if err := d.zr.Reset(&d.src); err != nil {
-		return nil, fmt.Errorf("gzipx: open stream: %w", err)
+		return dst, fmt.Errorf("gzipx: open stream: %w", err)
 	}
-	out, err := io.ReadAll(&d.zr)
+	// The ISIZE trailer (present: the header Reset just read is 10 bytes)
+	// sizes the output in one step. It is only a hint: a forged one is capped
+	// by deflate's best ratio (1032:1) over the input actually present, and
+	// the bound is enforced on bytes inflated.
+	hint := min(int64(binary.LittleEndian.Uint32(data[len(data)-4:])), 1032*int64(len(data)))
+	out, err := bodybuf.Read(dst, &d.zr, hint, max)
 	if cerr := d.zr.Close(); err == nil {
 		err = cerr
 	}
 	if err != nil {
-		return nil, fmt.Errorf("gzipx: inflate: %w", err)
+		return dst, fmt.Errorf("gzipx: inflate: %w", err)
 	}
 	return out, nil
 }

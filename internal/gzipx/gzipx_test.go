@@ -88,3 +88,32 @@ func TestConcurrentUse(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// FuzzAppendDecompress: whatever the bytes, the output never exceeds max, dst
+// is never clobbered, and a stream that fits inflates to what Decompress
+// returns.
+func FuzzAppendDecompress(f *testing.F) {
+	f.Add(Compress([]byte("hello world hello world")), 1024)
+	f.Add(Compress(make([]byte, 1<<16)), 100)
+	f.Add(Compress(nil), 0)
+	f.Add(append(Compress([]byte("two ")), Compress([]byte("members"))...), 8)
+	f.Add([]byte("not gzip at all"), 10)
+	f.Fuzz(func(t *testing.T, data []byte, max int) {
+		if max < 0 || max > 1<<20 {
+			t.Skip()
+		}
+		got, err := AppendDecompress([]byte("dst"), data, max)
+		if !bytes.HasPrefix(got, []byte("dst")) || len(got)-3 > max {
+			t.Fatalf("dst clobbered or bound broken: %d bytes under max %d", len(got)-3, max)
+		}
+		want, werr := Decompress(data)
+		switch {
+		case werr != nil && err == nil:
+			t.Fatalf("AppendDecompress accepted what Decompress rejects: %v", werr)
+		case werr == nil && len(want) <= max && (err != nil || !bytes.Equal(got[3:], want)):
+			t.Fatalf("stream of %d bytes under max %d: err=%v", len(want), max, err)
+		case werr == nil && len(want) > max && err == nil:
+			t.Fatalf("stream of %d bytes passed max %d", len(want), max)
+		}
+	})
+}

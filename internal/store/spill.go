@@ -6,7 +6,7 @@
 // Layout: a spill directory holds numbered segment files
 // (spill-00000001.seg, ...). Each record is framed as
 //
-//	magic "CBS2" | uvarint payloadLen | crc32(payload) LE | payload
+//	magic "CBS3" | uvarint payloadLen | crc32(payload) LE | payload
 //
 // with the payload encoded by the blob codec (blob.go). An in-memory
 // index maps key → (segment, offset, length) for O(1) lookup; the latest
@@ -20,7 +20,10 @@
 // touching payload bytes; bodies are faulted lazily. A torn tail — e.g. a
 // crash mid-spill — stops that segment's scan at the last intact record;
 // the torn record's class simply degrades to full responses and re-warms
-// from traffic, exactly like a plain eviction.
+// from traffic, exactly like a plain eviction. So does every class of a
+// segment written under another magic (an older build's "CBS2", whose graph
+// edges are deltas this build's codec rejects): the scan stops at its first
+// record and the segment is deleted on the next append.
 //
 // Segments recovered from disk are sealed: appends always go to a fresh
 // segment, so offsets indexed during a scan stay valid forever. A sealed
@@ -54,7 +57,7 @@ import (
 const GroupingKey = "\x00grouping"
 
 const (
-	spillMagic          = "CBS2"
+	spillMagic          = "CBS3"
 	segmentPattern      = "spill-%08d.seg"
 	defaultSegmentBytes = 4 << 20
 	maxSpillPayload     = 1 << 30
@@ -75,17 +78,18 @@ type TierConfig struct {
 // TierStats is the disk tier's observable state, embedded in the
 // /_cbde/store snapshot.
 type TierStats struct {
-	Enabled        bool   `json:"enabled"`
-	Dir            string `json:"dir,omitempty"`
-	BudgetBytes    int64  `json:"budgetBytes"`
-	DiskBytes      int64  `json:"diskBytes"`
-	LiveBytes      int64  `json:"liveBytes"`
-	Segments       int    `json:"segments"`
-	SpilledClasses int    `json:"spilledClasses"`
-	Spills         int64  `json:"spills"`
-	FaultIns       int64  `json:"faultIns"`
-	Drops          int64  `json:"drops"`
-	Errors         int64  `json:"errors"`
+	Enabled         bool   `json:"enabled"`
+	Dir             string `json:"dir,omitempty"`
+	BudgetBytes     int64  `json:"budgetBytes"`
+	DiskBytes       int64  `json:"diskBytes"`
+	LiveBytes       int64  `json:"liveBytes"`
+	Segments        int    `json:"segments"`
+	SkippedSegments int    `json:"skippedSegments"` // no readable record: torn at the start, or another build's format
+	SpilledClasses  int    `json:"spilledClasses"`
+	Spills          int64  `json:"spills"`
+	FaultIns        int64  `json:"faultIns"`
+	Drops           int64  `json:"drops"`
+	Errors          int64  `json:"errors"`
 }
 
 type segment struct {
@@ -462,6 +466,9 @@ func (t *Tier) Stats() TierStats {
 	for _, s := range t.segs {
 		st.DiskBytes += s.size
 		st.LiveBytes += s.live
+		if s.size == 0 {
+			st.SkippedSegments++
+		}
 	}
 	return st
 }

@@ -398,3 +398,59 @@ func TestTierGroupingKeyIsNotAClass(t *testing.T) {
 		t.Fatalf("recovered grouping record = %q, ok=%v", rec.SelectorBase, ok)
 	}
 }
+
+// A spill directory written by a build with the previous magic is ignored,
+// not an error: its graph edges are deltas this build's codec refuses, so its
+// classes re-warm from traffic like evictions, and the dead segment goes on
+// the first append.
+func TestTierIgnoresOlderMagic(t *testing.T) {
+	dir := t.TempDir()
+	tier := openTestTier(t, dir, TierConfig{})
+	if err := tier.Append(testRecord("class#a", 3)); err != nil {
+		t.Fatal(err)
+	}
+	if err := tier.Append(testRecord("class#b", 4)); err != nil {
+		t.Fatal(err)
+	}
+	tier.Close()
+	files := segmentFiles(t, dir)
+	if len(files) != 1 {
+		t.Fatalf("expected 1 segment, found %v", files)
+	}
+	seg, err := os.ReadFile(files[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := bytes.ReplaceAll(seg, []byte(spillMagic), []byte("CBS2"))
+	if bytes.Equal(old, seg) {
+		t.Fatal("segment does not carry the current magic")
+	}
+	if err := os.WriteFile(files[0], old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	tier2, err := OpenTier(TierConfig{Dir: dir})
+	if err != nil {
+		t.Fatalf("a CBS2 directory must open as empty, got %v", err)
+	}
+	defer tier2.Close()
+	st := tier2.Stats()
+	if tier2.Len() != 0 || st.DiskBytes != 0 || st.Errors != 0 || st.SkippedSegments != 1 {
+		t.Fatalf("after opening a CBS2 segment: len %d, %+v", tier2.Len(), st)
+	}
+	if _, ok := tier2.Get("class#a"); ok {
+		t.Fatal("a record under the old magic was served")
+	}
+	c := testRecord("class#c", 5)
+	if err := tier2.Append(c); err != nil {
+		t.Fatal(err)
+	}
+	if got := segmentFiles(t, dir); len(got) != 1 || got[0] == files[0] {
+		t.Fatalf("old segment not reclaimed by the first append: %v", got)
+	}
+	got, ok := tier2.Get("class#c")
+	if !ok || tier2.Stats().SkippedSegments != 0 {
+		t.Fatalf("fresh record unreadable or skipped count stuck: ok=%v %+v", ok, tier2.Stats())
+	}
+	recordsEqual(t, got, c)
+}

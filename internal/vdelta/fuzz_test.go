@@ -16,7 +16,8 @@ func FuzzDecode(f *testing.F) {
 	}
 	f.Add(good)
 	f.Add([]byte{})
-	f.Add([]byte("VD01"))
+	f.Add([]byte("VD02"))
+	f.Add(append([]byte("VD01"), good[4:]...)) // an older build's magic on an otherwise good delta
 	f.Add(good[:len(good)/2])
 
 	// Hand-built wire-format seeds (no checksum flag, single-byte length

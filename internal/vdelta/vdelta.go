@@ -18,7 +18,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/fnv"
+	"hash/crc32"
 	"math"
 	"math/bits"
 	"sync"
@@ -29,7 +29,7 @@ const (
 	magic0 = 'V'
 	magic1 = 'D'
 	magic2 = '0'
-	magic3 = '1'
+	magic3 = '2' // "VD02": the target checksum is CRC-32C; a "VD01" (FNV-32a) delta is corrupt
 
 	flagChecksum = 1 << 0
 
@@ -126,7 +126,7 @@ func WithTargetMatching(enabled bool) Option {
 	return func(c *config) { c.targetMatching = enabled }
 }
 
-// WithChecksum enables or disables embedding an FNV-32a checksum of the
+// WithChecksum enables or disables embedding a CRC-32C checksum of the
 // target in the delta (enabled by default).
 func WithChecksum(enabled bool) Option {
 	return func(c *config) { c.checksum = enabled }
@@ -173,20 +173,22 @@ func Decode(base, delta []byte) ([]byte, error) {
 // maxInputLen bounds encoder inputs so offsets fit the wire format.
 const maxInputLen = math.MaxInt32
 
-// maxDecodeTarget bounds the target size a delta may declare, so forged
+// MaxDecodeTarget bounds the target size a delta may declare, so forged
 // deltas cannot bomb the decoder with one giant allocation. Web documents
-// are orders of magnitude below this.
-const maxDecodeTarget = 1 << 28 // 256 MiB
+// are orders of magnitude below this. Callers that inflate a delta before
+// decoding it bound the inflated size by the same constant.
+const MaxDecodeTarget = 1 << 28 // 256 MiB
 
 func errInputTooLarge(baseLen, targetLen int) error {
 	return fmt.Errorf("vdelta: input too large (base %d, target %d bytes)", baseLen, targetLen)
 }
 
-// checksumOf returns the FNV-32a hash of b.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// checksumOf returns the CRC-32C (Castagnoli) of b: hardware-accelerated on
+// amd64 and arm64, so verifying a target costs less than reconstructing it.
 func checksumOf(b []byte) uint32 {
-	h := fnv.New32a()
-	h.Write(b)
-	return h.Sum32()
+	return crc32.Checksum(b, castagnoli)
 }
 
 // hashChunk hashes the w bytes starting at b[i]. Callers guarantee
@@ -585,7 +587,7 @@ func (c *Coder) Decode(base, delta []byte) ([]byte, error) {
 		return nil, fmt.Errorf("%w: delta was encoded against a %d-byte base, got %d bytes",
 			ErrBaseMismatch, hdr.baseLen, len(base))
 	}
-	if hdr.targetLen > maxDecodeTarget {
+	if hdr.targetLen > MaxDecodeTarget {
 		return nil, fmt.Errorf("%w: declared target of %d bytes exceeds limit", ErrCorrupt, hdr.targetLen)
 	}
 

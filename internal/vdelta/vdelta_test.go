@@ -2,7 +2,9 @@ package vdelta
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"math/rand/v2"
 	"strings"
 	"testing"
@@ -176,6 +178,67 @@ func TestDecodeErrors(t *testing.T) {
 			t.Error("corrupted delta decoded without error")
 		}
 	})
+}
+
+// Every single-bit error in the reconstructed target, and in the stored
+// checksum itself, is caught: CRC-32C detects all of them by construction.
+func TestChecksumCatchesEverySingleBitFlip(t *testing.T) {
+	base := make([]byte, 400)
+	rng := rand.New(rand.NewPCG(3, 4))
+	for i := range base {
+		base[i] = byte(rng.IntN(256))
+	}
+	target := append(append([]byte(nil), base...), " plus a literal tail"...)
+	delta, err := Encode(base, target)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info, err := Stats(delta); err != nil || info.CopyBytes != len(base) {
+		t.Fatalf("setup: want the whole base copied, got %+v, %v", info, err)
+	}
+	// The target is the base plus a tail, so a flipped base bit is exactly
+	// one flipped bit of the reconstruction.
+	for bit := 0; bit < 8*len(base); bit++ {
+		base[bit/8] ^= 1 << (bit % 8)
+		if _, err := Decode(base, delta); !errors.Is(err, ErrChecksum) {
+			t.Fatalf("target bit %d flipped: err = %v, want ErrChecksum", bit, err)
+		}
+		base[bit/8] ^= 1 << (bit % 8)
+	}
+	sum := 5 + uvarintLen(uint64(len(base))) + uvarintLen(uint64(len(target)))
+	if binary.BigEndian.Uint32(delta[sum:]) != crc32.Checksum(target, crc32.MakeTable(crc32.Castagnoli)) {
+		t.Fatal("header slot does not hold the big-endian CRC-32C of the target")
+	}
+	for bit := 0; bit < 32; bit++ {
+		delta[sum+bit/8] ^= 1 << (bit % 8)
+		if _, err := Decode(base, delta); !errors.Is(err, ErrChecksum) {
+			t.Fatalf("checksum bit %d flipped: err = %v, want ErrChecksum", bit, err)
+		}
+		delta[sum+bit/8] ^= 1 << (bit % 8)
+	}
+	if got, err := Decode(base, delta); err != nil || !bytes.Equal(got, target) {
+		t.Fatalf("restored delta no longer decodes: %v", err)
+	}
+}
+
+// A delta from a build that checksummed with FNV-32a ("VD01") is refused
+// outright rather than failing its checksum.
+func TestOldMagicIsCorrupt(t *testing.T) {
+	base := []byte("the base-file both builds agree on")
+	delta, err := Encode(base, []byte("the base-file both builds agree on, extended"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(delta[:4]) != "VD02" {
+		t.Fatalf("magic = %q, want VD02", delta[:4])
+	}
+	copy(delta, "VD01")
+	if _, err := Decode(base, delta); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("VD01 delta: err = %v, want ErrCorrupt", err)
+	}
+	if _, err := Stats(delta); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("VD01 delta: Stats err = %v, want ErrCorrupt", err)
+	}
 }
 
 func TestNoChecksumOption(t *testing.T) {
