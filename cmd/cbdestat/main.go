@@ -168,6 +168,10 @@ func snapshot(client *http.Client, server string, out io.Writer) error {
 			fmt.Fprintf(out, "delta-cache: %d hits, %d misses, %d coalesced, %d entries (%d bytes), %d invalidations\n",
 				dc.Hits, dc.Misses, dc.Coalesced, dc.Entries, dc.Bytes, dc.Invalidations)
 		}
+		if dc := st.DeltaCache; dc.EncodedBytes > 0 {
+			fmt.Fprintf(out, "encode: %d document bytes, %.1f%% replayed from hints (%d hint bytes)\n",
+				dc.EncodedBytes, 100*float64(dc.ReplayedBytes)/float64(dc.EncodedBytes), dc.HintBytes)
+		}
 		if g := st.Graph; g.Depth > 1 || g.Edges > 0 || g.Direct+g.Composed+g.FallbackFull > 0 {
 			fmt.Fprintf(out, "graph: depth %d, %d edges (%d bytes); served %d direct, %d composed, %d fallback-full\n",
 				g.Depth, g.Edges, g.EdgeBytes, g.Direct, g.Composed, g.FallbackFull)

@@ -194,6 +194,12 @@ func (e *Engine) collect(c *metrics.Collection) {
 	c.Counter("cbde_delta_cache_coalesced_total",
 		"Requests that coalesced onto another request's in-flight encode.",
 		nil, float64(e.ctr.memoCoalesced.Value()))
+	c.Counter("cbde_encode_target_bytes_total",
+		"Document bytes run through the vdelta encoder.",
+		nil, float64(e.ctr.encodeBytes.Value()))
+	c.Counter("cbde_encode_replayed_bytes_total",
+		"Encoded document bytes covered by replaying the URL's previous delta instead of searching.",
+		nil, float64(e.ctr.encodeReplayed.Value()))
 	c.Counter("cbde_graph_direct_total",
 		"Delta responses encoded directly against the version the client holds.",
 		nil, float64(e.ctr.graphDirect.Value()))

@@ -351,6 +351,73 @@ type baseVersion struct {
 	// index bytes from the ledger.
 	indexBytes atomic.Int64
 	released   atomic.Bool
+
+	// hints holds, for up to maxHints URLs, an immutable copy of the last
+	// raw delta encoded for each against this version, charged to the delta
+	// ledger. setHint stores nothing once released is set and release drops
+	// the hints under hintMu, so exactly one side returns each hint's bytes.
+	hintMu sync.Mutex
+	hints  [maxHints]struct {
+		url   string
+		delta []byte // nil: a free slot
+	}
+}
+
+// maxHints bounds one version's hint bytes however many URLs its class
+// serves; DESIGN.md §9 derives it from measured URLs per class.
+const maxHints = 32
+
+// hintSlot probes from an FNV-1a hash of url for url's slot or else the
+// first free one; a full table yields the hashed slot, to be displaced. It
+// depends on the request sequence only, so a replayed trace keeps the same
+// hints, hence emits the same deltas, on every run. Callers hold hintMu.
+func (bv *baseVersion) hintSlot(url string) int {
+	h := uint32(2166136261)
+	for i := 0; i < len(url); i++ {
+		h = (h ^ uint32(url[i])) * 16777619
+	}
+	for i := range maxHints {
+		if s := (int(h%maxHints) + i) % maxHints; bv.hints[s].url == url || bv.hints[s].delta == nil {
+			return s
+		}
+	}
+	return int(h % maxHints)
+}
+
+// hintFor returns the replay hint recorded for url, or nil.
+func (bv *baseVersion) hintFor(url string) []byte {
+	bv.hintMu.Lock()
+	defer bv.hintMu.Unlock()
+	if h := bv.hints[bv.hintSlot(url)]; h.url == url {
+		return h.delta
+	}
+	return nil
+}
+
+// setHint records delta, which the version takes ownership of, as url's
+// replay hint, refunding whatever hint its slot held before.
+func (bv *baseVersion) setHint(url string, delta []byte) {
+	bv.hintMu.Lock()
+	defer bv.hintMu.Unlock()
+	if bv.cs == nil || bv.released.Load() {
+		return
+	}
+	h := &bv.hints[bv.hintSlot(url)]
+	bv.cs.addDelta(int64(len(delta) - len(h.delta)))
+	h.url, h.delta = url, delta
+}
+
+// dropHints forgets every replay hint and returns the bytes it gave back to
+// the ledger.
+func (bv *baseVersion) dropHints() (freed int64) {
+	bv.hintMu.Lock()
+	defer bv.hintMu.Unlock()
+	for _, h := range bv.hints {
+		freed += int64(len(h.delta))
+	}
+	clear(bv.hints[:])
+	bv.cs.addDelta(-freed)
+	return freed
 }
 
 // vdeltaIndex returns the version's codec index, building it on first use.
@@ -390,7 +457,7 @@ func (bv *baseVersion) release() int64 {
 		bv.cs.addIndex(-f)
 		freed += f
 	}
-	return freed
+	return freed + bv.dropHints()
 }
 
 // classState is the engine's per-class serving state.
@@ -466,9 +533,9 @@ type classState struct {
 
 var _ store.Entry = (*classState)(nil)
 
-// addBase and addIndex apply a byte delta to the class's ledger and the
-// engine's global one. Candidate bytes flow through the selector's
-// OnStoredBytes callback instead (see newClassState).
+// addBase, addIndex and addDelta (memoized payloads, replay hints) apply a
+// byte delta to the class's ledger and the engine's global one. Candidate
+// bytes flow through the selector's OnStoredBytes callback instead.
 func (cs *classState) addBase(d int64) {
 	cs.res.AddBase(d)
 	cs.acct.AddBase(d)
@@ -476,6 +543,10 @@ func (cs *classState) addBase(d int64) {
 func (cs *classState) addIndex(d int64) {
 	cs.res.AddIndex(d)
 	cs.acct.AddIndex(d)
+}
+func (cs *classState) addDelta(d int64) {
+	cs.res.AddDelta(d)
+	cs.acct.AddDelta(d)
 }
 
 // ResidentBytes implements store.Entry.
@@ -490,9 +561,9 @@ func (cs *classState) purgeDeltas() {
 	}
 }
 
-// Prune implements store.Entry: drop every installed base version except
-// the newest distributable one, plus the selector's sampled candidate
-// documents. The class keeps serving deltas against its newest base;
+// Prune implements store.Entry: drop every installed base version but the
+// newest distributable one, its replay hints, and the selector's sampled
+// candidates. The class keeps serving deltas against its newest base;
 // clients holding pruned versions fall back to full responses.
 func (cs *classState) Prune() int64 {
 	before := cs.res.Total()
@@ -501,6 +572,8 @@ func (cs *classState) Prune() int64 {
 		if v != cs.distVersion {
 			delete(cs.bases, v)
 			bv.release()
+		} else {
+			bv.dropHints()
 		}
 	}
 	// With only the current version left there is nothing for an edge to
@@ -611,6 +684,8 @@ type hotCounters struct {
 	memoMisses     *metrics.Counter // cache misses (the request led the encode)
 	memoCoalesced  *metrics.Counter // requests that waited on a leader's encode
 	encodeRuns     *metrics.Counter // delta encodes actually executed
+	encodeBytes    *metrics.Counter // target bytes through the vdelta encoder
+	encodeReplayed *metrics.Counter // of those, bytes covered by hint replay
 	faultIns       *metrics.Counter // spilled classes faulted in from disk
 	graphDirect    *metrics.Counter // single-delta responses (graph depth 1 hop)
 	graphComposed  *metrics.Counter // composed-chain responses
@@ -737,6 +812,8 @@ func NewEngine(cfg Config) (*Engine, error) {
 		memoMisses:     e.reg.Counter("memo.misses"),
 		memoCoalesced:  e.reg.Counter("memo.coalesced"),
 		encodeRuns:     e.reg.Counter("encode.runs"),
+		encodeBytes:    e.reg.Counter("encode.target_bytes"),
+		encodeReplayed: e.reg.Counter("encode.replayed_bytes"),
 		faultIns:       e.reg.Counter("store.faultins"),
 		graphDirect:    e.reg.Counter("graph.direct"),
 		graphComposed:  e.reg.Counter("graph.composed"),
@@ -840,10 +917,7 @@ func (e *Engine) newClassState(key string, class *classify.Class) *classState {
 	if !e.cfg.DeltaCacheOff {
 		// Retained payload bytes flow into the same dual ledger as base and
 		// candidate bytes, so the budget governor sees and reclaims them.
-		cs.deltas = deltacache.New(e.cfg.DeltaCacheEntries, func(d int64) {
-			cs.res.AddDelta(d)
-			e.acct.AddDelta(d)
-		})
+		cs.deltas = deltacache.New(e.cfg.DeltaCacheEntries, cs.addDelta)
 	}
 	return cs
 }
@@ -1370,10 +1444,14 @@ func (e *Engine) encodeResponse(cs *classState, snap encodeSnapshot, req Request
 	} else {
 		// The base-file changes only on rebases, so its codec index is
 		// built once per version and reused across requests; the delta is
-		// built in request-scoped scratch.
+		// built in request-scoped scratch, replaying what still verifies of
+		// the last delta encoded for this URL against this version.
 		scratch = e.getEncodeBuf()
-		delta, err = e.coder.EncodeIndexedInto(snap.base.vdeltaIndex(e.coder), req.Doc, scratch.buf)
+		var replayed int
+		delta, replayed, err = e.coder.EncodeHintedInto(snap.base.vdeltaIndex(e.coder), req.Doc, snap.base.hintFor(req.URL), scratch.buf)
 		scratch.buf = delta[:0] // retain grown capacity whatever path follows
+		e.ctr.encodeBytes.Add(int64(len(req.Doc)))
+		e.ctr.encodeReplayed.Add(int64(replayed))
 	}
 	tr.Record(obs.StageEncode, t0, int64(len(delta)))
 	release := func() {
@@ -1388,6 +1466,9 @@ func (e *Engine) encodeResponse(cs *classState, snap encodeSnapshot, req Request
 	if float64(len(delta)) > e.cfg.MaxDeltaRatio*float64(len(req.Doc)) {
 		release()
 		return e.basicRebase(cs, snap, req, now)
+	}
+	if scratch != nil {
+		snap.base.setHint(req.URL, append([]byte(nil), delta...))
 	}
 
 	payload := delta
@@ -1622,19 +1703,21 @@ func (e *Engine) DecodeAs(base, payload []byte, gzipped bool, format Format) ([]
 func (e *Engine) StoreStats() store.Stats { return e.cstore.Stats() }
 
 // BumpAnonEpoch advances the engine-wide anonymization epoch and purges
-// every class's memoized deltas and version-graph edges. Call it when the
-// anonymization policy (or any input to it) changes out-of-band: cached
-// payloads and edge deltas embed anonymized base content and must not
+// every class's memoized deltas, version-graph edges and replay hints. Call
+// it when the anonymization policy (or any input to it) changes out-of-band:
+// cached payloads and edge deltas embed anonymized base content and must not
 // survive the change. Delta purging is eager here and also lazy at lookup
-// (the epoch is checked on every cache acquire), so a cache that misses
-// the eager sweep — e.g. a class created concurrently — still never
-// serves a pre-bump payload; edges have no lazy check, so the eager sweep
-// under each class lock is the invalidation.
+// (the epoch is checked on every cache acquire), so a cache that misses the
+// eager sweep — e.g. a class created concurrently — still never serves a
+// pre-bump payload; edges and hints are swept eagerly under the class lock.
 func (e *Engine) BumpAnonEpoch() {
 	e.anonEpoch.Add(1)
 	for _, cs := range e.states() {
 		cs.mu.Lock()
 		cs.dropEdgesLocked()
+		for _, bv := range cs.bases {
+			bv.dropHints()
+		}
 		cs.mu.Unlock()
 		cs.purgeDeltas()
 	}
@@ -1657,25 +1740,40 @@ type DeltaCacheStats struct {
 	Bytes   int64 `json:"bytes"`
 	// Invalidations counts entries dropped by purges and cap evictions.
 	Invalidations int64 `json:"invalidations"`
+	// HintBytes are replay hints (ledger delta kind = Bytes + HintBytes);
+	// ReplayedBytes of the EncodedBytes vdelta-encoded came from a hint.
+	HintBytes     int64 `json:"hintBytes"`
+	EncodedBytes  int64 `json:"encodedBytes"`
+	ReplayedBytes int64 `json:"replayedBytes"`
 }
 
 // DeltaCacheStats snapshots the delta memo caches across all classes.
 func (e *Engine) DeltaCacheStats() DeltaCacheStats {
 	st := DeltaCacheStats{
-		Enabled:   !e.cfg.DeltaCacheOff,
-		Hits:      e.ctr.memoHits.Value(),
-		Misses:    e.ctr.memoMisses.Value(),
-		Coalesced: e.ctr.memoCoalesced.Value(),
+		Enabled:       !e.cfg.DeltaCacheOff,
+		Hits:          e.ctr.memoHits.Value(),
+		Misses:        e.ctr.memoMisses.Value(),
+		Coalesced:     e.ctr.memoCoalesced.Value(),
+		EncodedBytes:  e.ctr.encodeBytes.Value(),
+		ReplayedBytes: e.ctr.encodeReplayed.Value(),
 	}
-	e.cstore.ForEach(func(_ string, ent store.Entry) bool {
-		if c := ent.(*classState).deltas; c != nil {
+	for _, cs := range e.states() {
+		if c := cs.deltas; c != nil {
 			cst := c.Stats()
 			st.Entries += cst.Entries
 			st.Bytes += cst.Bytes
 			st.Invalidations += int64(cst.Invalidations)
 		}
-		return true
-	})
+		cs.mu.RLock()
+		for _, bv := range cs.bases {
+			bv.hintMu.Lock()
+			for _, h := range bv.hints {
+				st.HintBytes += int64(len(h.delta))
+			}
+			bv.hintMu.Unlock()
+		}
+		cs.mu.RUnlock()
+	}
 	return st
 }
 

@@ -118,8 +118,8 @@ func TestMemoizedRepeatServesCachedDelta(t *testing.T) {
 	if dc.Entries != 1 || dc.Bytes != int64(len(first.Payload)) {
 		t.Errorf("delta cache stats = %+v, want 1 entry of %d bytes", dc, len(first.Payload))
 	}
-	if got := eng.StoreStats().Resident.DeltaBytes; got != dc.Bytes {
-		t.Errorf("ledger delta bytes = %d, stats report %d", got, dc.Bytes)
+	if got := eng.StoreStats().Resident.DeltaBytes; got != dc.Bytes+dc.HintBytes {
+		t.Errorf("ledger delta bytes = %d, stats report %d cached + %d hint", got, dc.Bytes, dc.HintBytes)
 	}
 
 	// A traced hit records the memo stage with the served bytes and never
@@ -368,8 +368,9 @@ func TestMemoInvalidation(t *testing.T) {
 }
 
 // TestEvictDrainsDeltaBytesExactly pins the ledger interaction: evicting
-// (or pruning) a class returns every cached delta byte — the delta
-// category lands on exactly zero, with the freed total covering it.
+// (or pruning) a class returns every cached delta byte and every replay
+// hint byte — the delta category lands on exactly zero, with the freed
+// total covering it.
 func TestEvictDrainsDeltaBytesExactly(t *testing.T) {
 	e, req := memoEngine(t, Config{})
 	fill := func() int64 {
@@ -388,13 +389,23 @@ func TestEvictDrainsDeltaBytesExactly(t *testing.T) {
 			}
 		}
 		db := e.StoreStats().Resident.DeltaBytes
-		if db <= 0 {
-			t.Fatal("no delta bytes charged after cache fills")
+		dc := e.DeltaCacheStats()
+		if dc.Bytes <= 0 || dc.HintBytes <= 0 {
+			t.Fatalf("cache fills left %d cached and %d hint bytes, want both charged", dc.Bytes, dc.HintBytes)
 		}
-		if got := e.DeltaCacheStats().Bytes; got != db {
-			t.Fatalf("cache reports %d bytes, ledger charges %d", got, db)
+		if dc.Bytes+dc.HintBytes != db {
+			t.Fatalf("cache reports %d + %d hint bytes, ledger charges %d", dc.Bytes, dc.HintBytes, db)
 		}
 		return db
+	}
+	drained := func(after string) {
+		t.Helper()
+		if got := e.StoreStats().Resident.DeltaBytes; got != 0 {
+			t.Errorf("delta ledger = %d after %s, want exactly 0", got, after)
+		}
+		if got := e.DeltaCacheStats().HintBytes; got != 0 {
+			t.Errorf("%d hint bytes survive %s", got, after)
+		}
 	}
 
 	cs, ok := e.lookup(req.HaveClassID)
@@ -408,10 +419,8 @@ func TestEvictDrainsDeltaBytesExactly(t *testing.T) {
 	if freed < deltaBytes {
 		t.Errorf("Evict freed %d bytes, want at least the %d cached delta bytes", freed, deltaBytes)
 	}
+	drained("eviction")
 	res := e.StoreStats().Resident
-	if res.DeltaBytes != 0 {
-		t.Errorf("delta ledger = %d after eviction, want exactly 0", res.DeltaBytes)
-	}
 	if res.Total != total-freed {
 		t.Errorf("resident total = %d after freeing %d from %d", res.Total, freed, total)
 	}
@@ -435,9 +444,7 @@ func TestEvictDrainsDeltaBytesExactly(t *testing.T) {
 	if freed := cs.Prune(); freed < deltaBytes {
 		t.Errorf("Prune freed %d bytes, want at least the %d cached delta bytes", freed, deltaBytes)
 	}
-	if got := e.StoreStats().Resident.DeltaBytes; got != 0 {
-		t.Errorf("delta ledger = %d after prune, want exactly 0", got)
-	}
+	drained("prune")
 }
 
 // TestBudgetConvergesWithMemoizedFills mirrors the async-sampling budget
@@ -505,8 +512,19 @@ func TestBudgetConvergesWithMemoizedFills(t *testing.T) {
 	if dc.Hits+dc.Coalesced == 0 {
 		t.Fatal("no memo hits under repeated requests; the budget run never exercised the cache")
 	}
-	if st.Resident.DeltaBytes != dc.Bytes {
-		t.Errorf("quiescent delta ledger %d != cache-reported bytes %d", st.Resident.DeltaBytes, dc.Bytes)
+	if st.Resident.DeltaBytes != dc.Bytes+dc.HintBytes {
+		t.Errorf("quiescent delta ledger %d != cache-reported bytes %d + hint bytes %d",
+			st.Resident.DeltaBytes, dc.Bytes, dc.HintBytes)
+	}
+	// Evicting every class returns every cached and hint byte.
+	for _, cs := range e.states() {
+		cs.Evict()
+	}
+	if got := e.StoreStats().Resident; got.DeltaBytes != 0 || got.Total != 0 {
+		t.Errorf("ledger after evicting every class: %+v, want exactly 0", got)
+	}
+	if got := e.DeltaCacheStats().HintBytes; got != 0 {
+		t.Errorf("%d hint bytes survive evicting every class", got)
 	}
 }
 

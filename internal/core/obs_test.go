@@ -297,6 +297,8 @@ func TestEngineExpositionSeries(t *testing.T) {
 		"cbde_stage_duration_seconds_sum",
 		"cbde_stage_duration_seconds_count",
 		"cbde_process_duration_seconds_bucket",
+		"cbde_encode_target_bytes_total",
+		"cbde_encode_replayed_bytes_total",
 		"requests", // legacy plain counters stay exposed
 		"bytes_direct",
 	} {

@@ -144,3 +144,67 @@ func TestWarmDeltaGetAllocBudget(t *testing.T) {
 		t.Errorf("the budget was not measured on deltas: %+v", st)
 	}
 }
+
+// A Get whose response announces a newer base refreshes it with a second
+// round trip; by then the pooled buffers that held the delta body and its
+// inflated form must be back in the pool, not pinned across the fetch.
+func TestGetReleasesDeltaBuffersBeforeBaseRefresh(t *testing.T) {
+	base := bytes.Repeat([]byte("a row of the base-file every page shares\n"), 200)
+	doc := append(bytes.Clone(base), "and one line of its own\n"...)
+	delta, err := vdelta.Encode(base, doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if strings.HasPrefix(r.URL.Path, deltahttp.BasePathPrefix) {
+			_, _ = w.Write(base)
+			return
+		}
+		w.Header().Set(deltahttp.HeaderClass, "cls")
+		if r.Header.Get(deltahttp.HeaderHave) == "" {
+			w.Header().Set(deltahttp.HeaderLatestVersion, "1")
+			_, _ = w.Write(doc)
+			return
+		}
+		w.Header().Set(deltahttp.HeaderLatestVersion, "2") // a newer base: refresh
+		w.Header().Set(deltahttp.HeaderEncoding, deltahttp.EncodingVdeltaGzip)
+		w.Header().Set(deltahttp.HeaderBaseVersion, "1")
+		_, _ = w.Write(gzipx.Compress(delta))
+	}))
+	defer srv.Close()
+
+	held := 0 // pooled buffers checked out and not yet returned
+	oldGet, oldPut := getBuf, putBuf
+	getBuf = func() *bodybuf.Buf { held++; return oldGet() }
+	putBuf = func(b *bodybuf.Buf) { held--; oldPut(b) }
+	t.Cleanup(func() { getBuf, putBuf = oldGet, oldPut })
+
+	refreshes := 0
+	transport := roundTripFunc(func(r *http.Request) (*http.Response, error) {
+		if strings.HasPrefix(r.URL.Path, deltahttp.BasePathPrefix+"cls/2") {
+			refreshes++
+			if held != 0 {
+				t.Errorf("base refresh started with %d pooled buffers still held", held)
+			}
+		}
+		return http.DefaultTransport.RoundTrip(r)
+	})
+	c := New(srv.URL, WithHTTPClient(&http.Client{Transport: transport}))
+	if _, err := c.Get("/doc"); err != nil || c.HeldVersion("cls") != 1 {
+		t.Fatalf("setup: err=%v, held v%d", err, c.HeldVersion("cls"))
+	}
+	got, err := c.Get("/doc")
+	if err != nil || !bytes.Equal(got, doc) {
+		t.Fatalf("delta Get: err=%v, %d bytes", err, len(got))
+	}
+	if refreshes != 1 || c.HeldVersion("cls") != 2 {
+		t.Fatalf("%d refreshes, held v%d; want the delta Get to refresh to v2", refreshes, c.HeldVersion("cls"))
+	}
+	if held != 0 {
+		t.Errorf("%d pooled buffers never returned", held)
+	}
+}
+
+type roundTripFunc func(*http.Request) (*http.Response, error)
+
+func (f roundTripFunc) RoundTrip(r *http.Request) (*http.Response, error) { return f(r) }

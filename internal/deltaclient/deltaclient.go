@@ -87,6 +87,10 @@ type Stats struct {
 // variable only so tests can shrink it.
 var maxBody = vdelta.MaxDecodeTarget
 
+// getBuf and putBuf check bodybuf's pooled buffers out and in; variables so
+// tests can see which buffers a Get still holds.
+var getBuf, putBuf = bodybuf.Get, (*bodybuf.Buf).Release
+
 // maxAdvertisedBases bounds the HeaderHave size; clients rarely hold more
 // than a handful of class base-files per server.
 const maxAdvertisedBases = 32
@@ -174,63 +178,11 @@ func (c *Client) Get(path string) ([]byte, error) {
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("deltaclient: %s returned status %d", path, resp.StatusCode)
 	}
-	// A full document is the caller's, so it is read into its own slice (one
-	// exact allocation when the server states the length); a delta or chain
-	// is dead once decoded, so it is read into a pooled buffer.
-	enc := resp.Header.Get(deltahttp.HeaderEncoding)
-	var body []byte
-	if enc != "" {
-		buf := bodybuf.Get()
-		defer buf.Release()
-		buf.B, err = bodybuf.Read(buf.B, resp.Body, resp.ContentLength, maxBody)
-		body = buf.B
-	} else {
-		body, err = bodybuf.Read(nil, resp.Body, resp.ContentLength, maxBody)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("deltaclient: read response: %w", err)
-	}
-
 	gotClass := resp.Header.Get(deltahttp.HeaderClass)
 	latest, _ := strconv.Atoi(resp.Header.Get(deltahttp.HeaderLatestVersion))
-
-	c.mu.Lock()
-	c.stats.Requests++
-	c.stats.PayloadBytes += int64(len(body))
-	c.mu.Unlock()
-
-	var doc []byte
-	switch enc {
-	case "":
-		c.mu.Lock()
-		c.stats.FullResponses++
-		c.mu.Unlock()
-		doc = body
-	case deltahttp.EncodingVdelta, deltahttp.EncodingVdeltaGzip,
-		deltahttp.EncodingVCDIFF, deltahttp.EncodingVCDIFFGzip,
-		deltahttp.EncodingVdeltaChain:
-		baseVersion, err := strconv.Atoi(resp.Header.Get(deltahttp.HeaderBaseVersion))
-		if err != nil {
-			return nil, fmt.Errorf("deltaclient: delta response lacks a base version")
-		}
-		if enc == deltahttp.EncodingVdeltaChain {
-			doc, err = c.reconstructChain(gotClass, baseVersion, body)
-		} else {
-			gzipped := enc == deltahttp.EncodingVdeltaGzip || enc == deltahttp.EncodingVCDIFFGzip
-			isVCDIFF := enc == deltahttp.EncodingVCDIFF || enc == deltahttp.EncodingVCDIFFGzip
-			doc, err = c.reconstruct(gotClass, baseVersion, body, gzipped, isVCDIFF)
-		}
-		if err != nil {
-			return nil, err
-		}
-		c.mu.Lock()
-		c.stats.DeltaResponses++
-		if enc == deltahttp.EncodingVdeltaChain {
-			c.stats.ChainResponses++
-		}
-		c.mu.Unlock()
-	default:
-		return nil, fmt.Errorf("deltaclient: unknown payload encoding %q", enc)
+	doc, err := c.readDocument(resp, gotClass)
+	if err != nil {
+		return nil, err
 	}
 
 	// Refresh the base-file when the server advertises a newer version, so
@@ -265,6 +217,64 @@ func (c *Client) Get(path string) ([]byte, error) {
 	return doc, nil
 }
 
+// readDocument returns the document a response carries: a full body is the
+// caller's, read into its own slice (one exact allocation when the length is
+// stated); a delta or chain, dead once decoded against the held base of
+// classID, is read into a pooled buffer that is back in the pool on return.
+func (c *Client) readDocument(resp *http.Response, classID string) (doc []byte, err error) {
+	enc := resp.Header.Get(deltahttp.HeaderEncoding)
+	var body []byte
+	if enc != "" {
+		buf := getBuf()
+		defer putBuf(buf)
+		buf.B, err = bodybuf.Read(buf.B, resp.Body, resp.ContentLength, maxBody)
+		body = buf.B
+	} else {
+		body, err = bodybuf.Read(nil, resp.Body, resp.ContentLength, maxBody)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("deltaclient: read response: %w", err)
+	}
+
+	c.mu.Lock()
+	c.stats.Requests++
+	c.stats.PayloadBytes += int64(len(body))
+	c.mu.Unlock()
+
+	switch enc {
+	case "":
+		c.mu.Lock()
+		c.stats.FullResponses++
+		c.mu.Unlock()
+		return body, nil
+	case deltahttp.EncodingVdelta, deltahttp.EncodingVdeltaGzip,
+		deltahttp.EncodingVCDIFF, deltahttp.EncodingVCDIFFGzip,
+		deltahttp.EncodingVdeltaChain:
+		baseVersion, err := strconv.Atoi(resp.Header.Get(deltahttp.HeaderBaseVersion))
+		if err != nil {
+			return nil, fmt.Errorf("deltaclient: delta response lacks a base version")
+		}
+		if enc == deltahttp.EncodingVdeltaChain {
+			doc, err = c.reconstructChain(classID, baseVersion, body)
+		} else {
+			gzipped := enc == deltahttp.EncodingVdeltaGzip || enc == deltahttp.EncodingVCDIFFGzip
+			isVCDIFF := enc == deltahttp.EncodingVCDIFF || enc == deltahttp.EncodingVCDIFFGzip
+			doc, err = c.reconstruct(classID, baseVersion, body, gzipped, isVCDIFF)
+		}
+		if err != nil {
+			return nil, err
+		}
+		c.mu.Lock()
+		c.stats.DeltaResponses++
+		if enc == deltahttp.EncodingVdeltaChain {
+			c.stats.ChainResponses++
+		}
+		c.mu.Unlock()
+		return doc, nil
+	}
+	return nil, fmt.Errorf("deltaclient: unknown payload encoding %q", enc)
+}
+
 // reconstructChain applies a composed chained-delta response: each framed
 // segment rewrites the working document one version forward, starting from
 // the held base-file and ending at the current document.
@@ -284,8 +294,8 @@ func (c *Client) reconstructChain(classID string, version int, payload []byte) (
 	if err != nil {
 		return nil, fmt.Errorf("deltaclient: parse delta chain: %w", err)
 	}
-	scratch := bodybuf.Get()
-	defer scratch.Release()
+	scratch := getBuf()
+	defer putBuf(scratch)
 	cur := held.data
 	for i, s := range segs {
 		d := s.Payload
@@ -322,8 +332,8 @@ func (c *Client) reconstruct(classID string, version int, payload []byte, gzippe
 	delta := payload
 	var err error
 	if gzipped {
-		scratch := bodybuf.Get()
-		defer scratch.Release()
+		scratch := getBuf()
+		defer putBuf(scratch)
 		scratch.B, err = gzipx.AppendDecompress(scratch.B, payload, maxBody)
 		if err != nil {
 			return nil, fmt.Errorf("deltaclient: decompress delta: %w", err)

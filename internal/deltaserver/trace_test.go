@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"strings"
 	"testing"
+	"time"
 
 	"cbde/internal/anonymize"
 	"cbde/internal/core"
@@ -26,10 +27,16 @@ func respTraceCtx(t *testing.T, resp *http.Response) obs.TraceContext {
 	return ctx
 }
 
-// oneRecord returns the single flight-recorder record for a trace ID.
+// oneRecord returns the single flight-recorder record for a trace ID. A
+// server records a request once its handler returns, which can trail the
+// response the test has already read, so it waits briefly for the record.
 func oneRecord(t *testing.T, fr *flightrec.Recorder, id obs.TraceID) flightrec.Record {
 	t.Helper()
 	recs := fr.Snapshot(flightrec.Filter{Trace: id})
+	for deadline := time.Now().Add(2 * time.Second); len(recs) == 0 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+		recs = fr.Snapshot(flightrec.Filter{Trace: id})
+	}
 	if len(recs) != 1 {
 		t.Fatalf("recorder %s has %d records for trace %s, want 1", fr.Node(), len(recs), id)
 	}
@@ -182,9 +189,7 @@ func TestTraceRedirectPreservesID(t *testing.T) {
 	if got := respTraceCtx(t, resp2); got.ID != ctx.ID {
 		t.Errorf("owner response trace ID = %s, want %s", got.ID, ctx.ID)
 	}
-	if recs := st.flights[owner].Snapshot(flightrec.Filter{Trace: ctx.ID}); len(recs) != 1 {
-		t.Errorf("owner has %d records for the redirected trace, want 1", len(recs))
-	}
+	oneRecord(t, st.flights[owner], ctx.ID)
 }
 
 // TestTraceEndpoint: /_cbde/trace serves filterable NDJSON and rejects bad

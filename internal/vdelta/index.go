@@ -56,7 +56,8 @@ func (c *Coder) EncodeIndexed(ix *Index, target []byte) ([]byte, error) {
 	}
 	st := c.getState()
 	defer c.pool.Put(st)
-	out := c.runIndexed(st, ix, target, st.out[:0])
+	enc := c.newEncoder(st, ix.base, &ix.idx, target, st.out[:0])
+	out, _ := enc.run(nil)
 	st.out = out // retain the grown scratch for the next encode
 	delta := make([]byte, len(out))
 	copy(delta, out)
@@ -69,29 +70,23 @@ func (c *Coder) EncodeIndexed(ix *Index, target []byte) ([]byte, error) {
 // scratch buffer — the engine's hot path — can encode without allocating
 // even the delta. The returned slice is only valid until dst is reused.
 func (c *Coder) EncodeIndexedInto(ix *Index, target, dst []byte) ([]byte, error) {
+	delta, _, err := c.EncodeHintedInto(ix, target, nil, dst)
+	return delta, err
+}
+
+// EncodeHintedInto is EncodeIndexedInto given hint, an earlier delta against
+// the same index for a similar target (say, the same URL's last document):
+// it re-emits the leading instructions of hint that verify against target,
+// searches only the rest, and also returns the target bytes replayed. Any
+// hint (nil, stale, corrupt, another base's) yields a correct delta; it must
+// not share storage with dst.
+func (c *Coder) EncodeHintedInto(ix *Index, target, hint, dst []byte) ([]byte, int, error) {
 	if len(target) > maxInputLen {
-		return nil, errInputTooLarge(len(ix.base), len(target))
+		return nil, 0, errInputTooLarge(len(ix.base), len(target))
 	}
 	st := c.getState()
 	defer c.pool.Put(st)
-	return c.runIndexed(st, ix, target, dst[:0]), nil
-}
-
-// runIndexed runs the encoder against a prebuilt base index, drawing the
-// target index from pooled state and appending the delta to out.
-func (c *Coder) runIndexed(st *encState, ix *Index, target, out []byte) []byte {
-	var targetIdx *chunkIndex
-	if c.cfg.targetMatching {
-		targetIdx = &st.targetIdx
-		targetIdx.init(positionCount(len(target), c.cfg.chunkSize, 1), int32(len(ix.base)), c.cfg.maxChain)
-	}
-	enc := deltaEncoder{
-		cfg:       c.cfg,
-		base:      ix.base,
-		target:    target,
-		baseIdx:   &ix.idx,
-		targetIdx: targetIdx,
-		out:       out,
-	}
-	return enc.run()
+	enc := c.newEncoder(st, ix.base, &ix.idx, target, dst[:0])
+	delta, replayed := enc.run(hint)
+	return delta, replayed, nil
 }

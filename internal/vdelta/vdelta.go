@@ -15,6 +15,7 @@
 package vdelta
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -357,21 +358,8 @@ func (c *Coder) Encode(base, target []byte) ([]byte, error) {
 	for i := len(base) - w; i >= 0; i-- {
 		st.baseIdx.add(hashChunk(base, i, w), int32(i))
 	}
-	var targetIdx *chunkIndex
-	if c.cfg.targetMatching {
-		targetIdx = &st.targetIdx
-		targetIdx.init(positionCount(len(target), w, 1), int32(len(base)), c.cfg.maxChain)
-	}
-
-	enc := deltaEncoder{
-		cfg:       c.cfg,
-		base:      base,
-		target:    target,
-		baseIdx:   &st.baseIdx,
-		targetIdx: targetIdx,
-		out:       st.out[:0],
-	}
-	out := enc.run()
+	enc := c.newEncoder(st, base, &st.baseIdx, target, st.out[:0])
+	out, _ := enc.run(nil)
 	st.out = out // retain the grown scratch for the next encode
 	delta := make([]byte, len(out))
 	copy(delta, out)
@@ -401,7 +389,20 @@ type match struct {
 	back   int
 }
 
-func (e *deltaEncoder) run() []byte {
+// newEncoder wires an encoder over base (indexed by baseIdx) and target,
+// with the target-prefix index drawn from st when target matching is on.
+func (c *Coder) newEncoder(st *encState, base []byte, baseIdx *chunkIndex, target, out []byte) deltaEncoder {
+	e := deltaEncoder{cfg: c.cfg, base: base, target: target, baseIdx: baseIdx, out: out}
+	if c.cfg.targetMatching {
+		e.targetIdx = &st.targetIdx
+	}
+	return e
+}
+
+// run encodes the target: it first replays the verified prefix of hint (a
+// previous delta against the same base; nil for none), then scans the rest.
+// It returns the delta and how many target bytes the replay covered.
+func (e *deltaEncoder) run(hint []byte) ([]byte, int) {
 	base, target := e.base, e.target
 	w := e.cfg.chunkSize
 
@@ -409,6 +410,12 @@ func (e *deltaEncoder) run() []byte {
 		e.out = make([]byte, 0, len(target)/4+32)
 	}
 	e.writeHeader()
+	replayed := e.replay(hint)
+	e.pos, e.litStart = replayed, replayed
+	if e.targetIdx != nil {
+		// Only the suffix still to scan is indexed for self-copies (bias).
+		e.targetIdx.init(positionCount(len(target)-replayed, w, 1), int32(len(base)+replayed), e.cfg.maxChain)
+	}
 
 	for e.pos+w <= len(target) {
 		h := hashChunk(target, e.pos, w)
@@ -434,7 +441,84 @@ func (e *deltaEncoder) run() []byte {
 	}
 	e.flushLiterals(len(target))
 	e.out = append(e.out, opEnd)
-	return e.out
+	return e.out, replayed
+}
+
+// replay re-emits the leading instructions of hint that verify against the
+// target and returns the offset they reach, stopping at the first that does
+// not, the end marker or anything malformed, so no byte of the hint's own
+// target reaches the output. Short of the target's end, the last one's extent
+// fit the hint's target: a trailing copy is extended while it still matches,
+// a trailing literal is handed back for the scan to merge with what follows.
+func (e *deltaEncoder) replay(hint []byte) int {
+	if hint == nil {
+		return 0 // parseHeader would allocate its error
+	}
+	hdr, body, err := parseHeader(hint)
+	if err != nil || hdr.baseLen != len(e.base) {
+		return 0
+	}
+	var last Op
+	pos, lastPos, lastOut := 0, 0, len(e.out)
+	for len(body) > 0 {
+		op, rest, ok := e.verifyOp(body, pos)
+		if !ok {
+			break
+		}
+		last, lastPos, lastOut = op, pos, len(e.out)
+		e.out, body, pos = append(e.out, body[:len(body)-len(rest)]...), rest, pos+op.Len
+	}
+	switch {
+	case pos == len(e.target): // nothing left to fit
+	case last.Kind == OpAdd:
+		e.out = e.out[:lastOut]
+		return lastPos
+	case last.Kind == OpCopy:
+		end := last.Start + last.Len
+		src := e.base[min(end, len(e.base)):]
+		if last.Start >= len(e.base) {
+			src = e.target[end-len(e.base):]
+		}
+		if n := matchLen(src, e.target[pos:]); n > 0 {
+			e.out = e.out[:lastOut]
+			e.emitCopy(last.Start, last.Len+n)
+			pos += n
+		}
+	}
+	return pos
+}
+
+// verifyOp parses the instruction at the head of body and returns it (Len
+// set for both kinds) with the rest of body; ok reports a non-empty ADD or
+// COPY that reproduces the target at offset pos under the decoder's rules.
+func (e *deltaEncoder) verifyOp(body []byte, pos int) (op Op, rest []byte, ok bool) {
+	var n, start int
+	var err error
+	switch body[0] {
+	case opAdd:
+		n, rest, err = readUvarint(body[1:])
+		if err != nil || n > len(rest) || n > len(e.target)-pos {
+			return op, nil, false
+		}
+		op = Op{Kind: OpAdd, Data: rest[:n], Len: n}
+		return op, rest[n:], n > 0 && bytes.Equal(op.Data, e.target[pos:pos+n])
+	case opCopy:
+		if start, rest, err = readUvarint(body[1:]); err == nil {
+			n, rest, err = readUvarint(rest)
+		}
+		op = Op{Kind: OpCopy, Start: start, Len: n}
+		if err != nil || n == 0 || n > len(e.target)-pos {
+			return op, nil, false
+		}
+		want := e.target[pos : pos+n]
+		if start < len(e.base) { // a base copy lies wholly inside the base
+			return op, rest, n <= len(e.base)-start && bytes.Equal(e.base[start:start+n], want)
+		}
+		// A self-copy from below pos reads each byte after writing it.
+		from := start - len(e.base)
+		return op, rest, e.cfg.targetMatching && from < pos && bytes.Equal(e.target[from:from+n], want)
+	}
+	return op, nil, false // the end marker, or garbage
 }
 
 // indexTargetRange adds chunk hashes for target[from:to) to the target
@@ -654,14 +738,17 @@ func (c *Coder) Decode(base, delta []byte) ([]byte, error) {
 				out = append(out, base[start:start+length]...)
 			} else {
 				// Copy from the already-reconstructed target prefix.
-				// May overlap the output being written: copy byte-by-byte.
 				from := start - len(base)
 				if from >= len(out) {
 					return nil, fmt.Errorf("%w: COPY from unwritten target offset %d (have %d)",
 						ErrCorrupt, from, len(out))
 				}
-				for i := 0; i < length; i++ {
-					out = append(out, out[from+i])
+				// An overlapping source repeats out[from:len]: appending that
+				// whole span each round copies whole periods, doubling it.
+				for length > 0 {
+					n := min(length, len(out)-from)
+					out = append(out, out[from:from+n]...)
+					length -= n
 				}
 			}
 
