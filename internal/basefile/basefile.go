@@ -181,6 +181,9 @@ type sample struct {
 	doc []byte
 	tag string // opaque caller tag (e.g. the requesting user), for anonymization
 	seq uint64 // identity within this selector; never reused
+	// ix indexes doc for score, built once when the candidate is stored. It
+	// is pooled again only by evictCandidate; other drops leave it to GC.
+	ix *vdelta.EstimatorIndex
 }
 
 // admission is one sampled document on its way into the sample store.
@@ -364,20 +367,22 @@ func (s *Selector) Quiesce() {
 func (s *Selector) admit(a admission, ev *Event) {
 	s.admitMu.Lock()
 	defer s.admitMu.Unlock()
-	s.commit(a, s.score(a), ev)
+	row, ix := s.score(a)
+	s.commit(a, row, ix, ev)
 }
 
 // score computes the 2K deltas between a's document and a snapshot of the
 // stored sets, with mu released: s.col[i] is the delta from candidate i to
 // the document (its new matrix column), row[j] the delta from the document
 // to reference j, the last entry being the document as its own reference.
+// ix is the document's index, which it keeps if it becomes a candidate.
 // A sample from an older set generation is not scored. Callers hold admitMu.
-func (s *Selector) score(a admission) (row []int) {
+func (s *Selector) score(a admission) (row []int, ix *vdelta.EstimatorIndex) {
 	s.mu.RLock()
 	cands, refs, stale := s.candidates, s.refs, s.gen != a.gen
 	s.mu.RUnlock()
 	if stale {
-		return nil
+		return nil, nil
 	}
 	doc := a.doc
 	twoSet := s.cfg.Eviction == EvictTwoSet
@@ -390,19 +395,18 @@ func (s *Selector) score(a admission) (row []int) {
 
 	s.col = s.col[:0]
 	for i := range cands {
-		s.col = append(s.col, s.est.Estimate(cands[i].doc, doc))
+		s.col = append(s.col, s.est.EstimateIndexed(cands[i].ix, cands[i].doc, doc))
 	}
 	// doc is the base of every estimate in its row: index it once.
 	row = make([]int, len(refs)+1, s.cfg.MaxSamples+1)
-	ix := s.est.Index(doc)
+	ix = s.est.Index(doc)
 	for j := range refs {
 		row[j] = s.est.EstimateIndexed(ix, doc, refs[j].doc)
 	}
 	if twoSet {
 		row[len(refs)] = s.est.EstimateIndexed(ix, doc, doc)
 	}
-	s.est.Release(ix)
-	return row
+	return row, ix
 }
 
 // commit stores a scored sample as a candidate (and, for the two-set
@@ -410,7 +414,7 @@ func (s *Selector) score(a admission) (row []int) {
 // better candidate take over. A sample whose set generation has passed —
 // the sets were flushed while it waited or was being scored — is
 // discarded. Callers hold admitMu.
-func (s *Selector) commit(a admission, row []int, ev *Event) {
+func (s *Selector) commit(a admission, row []int, ix *vdelta.EstimatorIndex, ev *Event) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	defer s.syncStoredLocked()
@@ -421,7 +425,7 @@ func (s *Selector) commit(a admission, row []int, ev *Event) {
 	}
 	s.samplesSeen++
 	s.nextSeq++
-	smp := sample{doc: a.doc, tag: a.tag, seq: s.nextSeq}
+	smp := sample{doc: a.doc, tag: a.tag, seq: s.nextSeq, ix: ix}
 	for i := range s.candidates {
 		s.dists[i] = append(s.dists[i], s.col[i])
 	}
@@ -494,7 +498,10 @@ func (s *Selector) randomNonBaseCandidate() int {
 	panic("basefile: eligible candidate count changed under the lock")
 }
 
+// evictCandidate drops candidate i. Callers hold admitMu, as every score
+// does, so no snapshot is still reading its index: the pool takes it back.
 func (s *Selector) evictCandidate(i int) {
+	s.est.Release(s.candidates[i].ix)
 	s.candidates = append(s.candidates[:i], s.candidates[i+1:]...)
 	s.dists = append(s.dists[:i], s.dists[i+1:]...)
 	if s.cfg.Eviction != EvictTwoSet {
@@ -776,7 +783,7 @@ func (s *Selector) RestoreSpill(st SpillState, now time.Time) {
 				row[j] = s.est.EstimateIndexed(ix, doc, refs[j].doc)
 			}
 		}
-		s.est.Release(ix)
+		s.candidates[i].ix = ix
 		s.dists = append(s.dists, row)
 	}
 	s.best = s.bestCandidate()

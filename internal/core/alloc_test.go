@@ -96,3 +96,65 @@ func monotonicClock() func() time.Time {
 		return base.Add(time.Duration(n) * time.Millisecond)
 	}
 }
+
+// TestGzippedPayloadsHaveNoSlack: a gzipped delta stays resident in the memo
+// and a gzipped edge in the version graph for as long as they are cached, so
+// neither may carry spare capacity.
+func TestGzippedPayloadsHaveNoSlack(t *testing.T) {
+	for _, memo := range []bool{true, false} {
+		eng, req := warmEngine(t, Config{
+			Anon:          anonymize.Config{M: 1, N: 2},
+			Selector:      basefile.Config{SampleProb: -1},
+			DeltaCacheOff: !memo,
+		})
+		for i := 0; i < 2; i++ { // an encode, then (with the memo) a hit
+			resp, err := eng.Process(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.Kind != KindDelta || !resp.Gzipped {
+				t.Fatalf("memo=%v: want a gzipped delta, got kind %v gzipped=%v", memo, resp.Kind, resp.Gzipped)
+			}
+			if cap(resp.Payload) != len(resp.Payload) {
+				t.Errorf("memo=%v: %d-byte payload has capacity %d", memo, len(resp.Payload), cap(resp.Payload))
+			}
+		}
+	}
+
+	// Each generation appends text drawn from a small alphabet to a shared
+	// incompressible template: the edge between two versions is that text,
+	// which Huffman coding shrinks.
+	genDoc := func(gen int) []byte {
+		doc := incompressible(42, 4000)
+		for i, b := range incompressible(uint64(gen)+100, 600) {
+			doc = append(doc, "abcdefgh"[(int(b)+i)%8])
+		}
+		return doc
+	}
+	e := graphEngine(t, 4, Config{})
+	classID, have := "", 0
+	for g := 1; g <= 4; g++ {
+		for r := 0; r < 2; r++ {
+			resp, err := e.Process(Request{URL: "www.shop.com/graph/1", UserID: "u", Doc: genDoc(g), HaveClassID: classID, HaveVersion: have})
+			if err != nil {
+				t.Fatal(err)
+			}
+			classID, have = resp.ClassID, max(have, resp.LatestVersion)
+		}
+	}
+	cs, _ := e.lookup(classID)
+	cs.mu.RLock()
+	defer cs.mu.RUnlock()
+	gzipped := 0
+	for from, ge := range cs.edges {
+		if ge.gzipped {
+			gzipped++
+			if cap(ge.payload) != len(ge.payload) {
+				t.Errorf("edge %d->%d: %d-byte payload has capacity %d", from, ge.to, len(ge.payload), cap(ge.payload))
+			}
+		}
+	}
+	if gzipped == 0 {
+		t.Fatalf("none of %d edges was gzipped", len(cs.edges))
+	}
+}

@@ -1475,11 +1475,10 @@ func (e *Engine) encodeResponse(cs *classState, snap encodeSnapshot, req Request
 	gzipped := false
 	if !e.cfg.GzipOff {
 		t0 = tr.Now()
-		c := gzipx.Compress(delta)
-		tr.Record(obs.StageGzip, t0, int64(len(c)))
-		if len(c) < len(delta) {
+		if c := gzipx.AppendDelta(nil, delta); len(c) > 0 {
 			payload, gzipped = c, true
 		}
+		tr.Record(obs.StageGzip, t0, int64(len(payload)))
 	}
 	if !gzipped && scratch != nil {
 		// The uncompressed delta is pooled scratch; the payload escapes to

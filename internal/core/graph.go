@@ -86,7 +86,7 @@ func (e *Engine) buildEdgeLocked(cs *classState, prev, v int, base []byte) {
 	}
 	ge := &versionEdge{from: prev, to: v, payload: delta, rawLen: len(delta)}
 	if !e.cfg.GzipOff {
-		if c := gzipx.Compress(delta); len(c) < len(delta) {
+		if c := gzipx.AppendDelta(nil, delta); len(c) > 0 {
 			ge.payload, ge.gzipped = c, true
 		}
 	}

@@ -121,6 +121,10 @@ func TestClusterForwarding(t *testing.T) {
 	if !bytes.Equal(bodyOther, want) {
 		t.Error("forwarded response is not the exact document")
 	}
+	// The entry node counts the forward after it has relayed the response.
+	for deadline := time.Now().Add(2 * time.Second); st.clusters[other].Ctr.Forwarded.Value() == 0 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
 	if got := st.clusters[other].Ctr.Forwarded.Value(); got != 1 {
 		t.Errorf("non-owner Forwarded = %d, want 1", got)
 	}

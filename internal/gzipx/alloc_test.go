@@ -13,7 +13,8 @@ import (
 // testing.AllocsPerRun so a pooling regression fails `go test ./...`.
 // Compress allocates exactly its returned buffer (budget 2 allows a pool
 // refill after GC); AppendCompress into sufficient capacity and
-// CompressedSize allocate nothing; Decompress allocates exactly the inflated
+// CompressedSize allocate nothing, and so does AppendDelta into a dst
+// with the room; Decompress allocates exactly the inflated
 // output, sized in one step from the ISIZE trailer (same allowance of 2);
 // AppendDecompress into a warm scratch allocates nothing.
 const (
@@ -55,6 +56,18 @@ func TestAppendCompressAllocBudget(t *testing.T) {
 	if allocs > appendCompressAllocBudget {
 		t.Errorf("AppendCompress allocates %.1f objects/op with capacity, budget %.1f",
 			allocs, appendCompressAllocBudget)
+	}
+}
+
+func TestAppendDeltaAllocsNothing(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("allocation counts differ under -race")
+	}
+	data := benchPayload()[:4096]
+	dst := make([]byte, 0, len(data))
+	allocs := testing.AllocsPerRun(50, func() { dst = AppendDelta(dst[:0], data) })
+	if allocs != 0 || len(dst) == 0 {
+		t.Errorf("AppendDelta allocates %.1f objects/op into a dst with room (%d bytes out)", allocs, len(dst))
 	}
 }
 
