@@ -17,6 +17,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -25,6 +26,7 @@ import (
 	"net/http"
 	"net/url"
 	"os"
+	"strings"
 	"text/tabwriter"
 	"time"
 
@@ -48,9 +50,7 @@ var coreSeries = []string{
 	"cbde_delta_cache_hits_total",
 	"cbde_delta_cache_misses_total",
 	"cbde_delta_cache_coalesced_total",
-	"cbde_graph_direct_total",
-	"cbde_graph_composed_total",
-	"cbde_graph_fallback_full_total",
+	"cbde_responses_total",
 	"cbde_graph_chain_length_bucket",
 	"cbde_stage_duration_seconds_bucket",
 	"cbde_stage_duration_seconds_sum",
@@ -137,14 +137,17 @@ func fetch(client *http.Client, u string) ([]byte, error) {
 	return body, nil
 }
 
-// snapshot prints the global counter dump, the storage-governance summary,
-// and a per-class table.
+// snapshot prints the global counter dump, the P_error line, the
+// storage-governance summary, and a per-class table.
 func snapshot(client *http.Client, server string, out io.Writer) error {
 	global, err := fetch(client, server+deltahttp.StatsPath)
 	if err != nil {
 		return err
 	}
 	out.Write(global)
+	if err := printPError(client, server, out); err != nil {
+		return err
+	}
 
 	if body, err := fetch(client, server+deltahttp.StorePath); err == nil {
 		var st struct {
@@ -263,6 +266,38 @@ func snapshot(client *http.Client, server string, out io.Writer) error {
 			r.GraphDirect, r.GraphComposed, r.GraphFallback)
 	}
 	return tw.Flush()
+}
+
+// printPError prints one line splitting the server's responses by reason
+// (cbde_responses_total): the share that went out full — the paper's
+// P_error — and how many fulls each reason caused.
+func printPError(client *http.Client, server string, out io.Writer) error {
+	body, err := fetch(client, server+deltahttp.MetricsPath)
+	if err != nil {
+		return err
+	}
+	exp, err := metrics.ParseExposition(bytes.NewReader(body))
+	if err != nil {
+		return fmt.Errorf("parse exposition: %w", err)
+	}
+	var total, full float64
+	var fulls []string
+	for _, s := range exp.Samples {
+		if s.Name != "cbde_responses_total" {
+			continue
+		}
+		total += s.Value
+		if kind, _ := s.Label("kind"); kind == "full" && s.Value > 0 {
+			reason, _ := s.Label("reason")
+			full += s.Value
+			fulls = append(fulls, fmt.Sprintf("%s %.0f", reason, s.Value))
+		}
+	}
+	if total > 0 {
+		fmt.Fprintf(out, "\nresponses: %.0f; P_error %.3f = %.0f full [%s]\n",
+			total, full/total, full, strings.Join(fulls, ", "))
+	}
+	return nil
 }
 
 // checkMetrics validates the exposition endpoint for CI.

@@ -79,7 +79,7 @@ func TestSnapshotAndCheck(t *testing.T) {
 		t.Fatalf("snapshot: %v", err)
 	}
 	out := buf.String()
-	for _, want := range []string{"CLASS", "HITS", "SAVED%", "RESIDENT", "www.stat.com/d", "store:", "unbudgeted"} {
+	for _, want := range []string{"CLASS", "HITS", "SAVED%", "RESIDENT", "www.stat.com/d", "store:", "unbudgeted", "P_error", "no_base_held"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("snapshot output missing %q:\n%s", want, out)
 		}

@@ -34,6 +34,7 @@ type traceRec struct {
 	Node          string      `json:"node"`
 	Class         string      `json:"class"`
 	Outcome       string      `json:"outcome"`
+	Reason        string      `json:"reason"`
 	StartUnixNano int64       `json:"startUnixNano"`
 	TotalUs       int64       `json:"totalUs"`
 	DocBytes      int64       `json:"docBytes"`
@@ -208,6 +209,9 @@ func printTrace(out io.Writer, id string, recs []traceRec) {
 	for _, r := range recs {
 		fmt.Fprintf(out, "  hop %d %-8s %-11s %8s doc=%dB wire=%dB",
 			r.Hop, r.Node, r.Outcome, time.Duration(r.TotalUs)*time.Microsecond, r.DocBytes, r.WireBytes)
+		if r.Reason != "" {
+			fmt.Fprintf(out, " reason=%s", r.Reason)
+		}
 		if len(r.Reasons) > 0 {
 			fmt.Fprintf(out, " [%s]", strings.Join(r.Reasons, ","))
 		}

@@ -120,6 +120,11 @@ func TestTraceJoinAcrossTier(t *testing.T) {
 	if !strings.Contains(out, "forwarded") {
 		t.Errorf("entry hop outcome missing:\n%s", out)
 	}
+	// The owner's engine saw the class's first request: nothing anonymized
+	// to distribute yet.
+	if !strings.Contains(out, "reason=anon_pending") {
+		t.Errorf("owner hop reason missing:\n%s", out)
+	}
 	if !strings.Contains(out, "stages:") {
 		t.Errorf("sampled hop has no stage breakdown:\n%s", out)
 	}

@@ -17,8 +17,8 @@ type ClassStats struct {
 
 	// Requests counts requests routed to the class.
 	Requests int64 `json:"requests"`
-	// DeltaHits counts delta responses; DeltaMisses counts full responses
-	// (no usable base-file, oversized delta, or anonymization pending).
+	// DeltaHits counts delta responses; DeltaMisses counts full responses,
+	// whatever their Reason.
 	DeltaHits   int64 `json:"deltaHits"`
 	DeltaMisses int64 `json:"deltaMisses"`
 
@@ -60,8 +60,8 @@ type ClassStats struct {
 	FaultIns int64 `json:"faultIns,omitempty"`
 
 	// Version-graph section: retained base versions and the cached edge
-	// deltas between them, plus how the class's responses split between
-	// direct deltas, composed chains, and aged-out full fallbacks.
+	// deltas between them, plus the class's ReasonDirect, ReasonChain and
+	// ReasonVersionAgedOut counts.
 	GraphVersions  int   `json:"graphVersions"`
 	GraphEdges     int   `json:"graphEdges"`
 	GraphEdgeBytes int64 `json:"graphEdgeBytes"`
@@ -81,21 +81,24 @@ func (s ClassStats) Savings() float64 {
 
 // classStats builds the stats row for one class. Takes cs.mu briefly.
 func (e *Engine) classStats(cs *classState, now time.Time) ClassStats {
+	var served reasonCounts
+	served.add(cs)
 	st := ClassStats{
 		ID:          cs.id,
 		Requests:    cs.ctr.requests.Value(),
-		DeltaHits:   cs.ctr.deltaHits.Value(),
-		DeltaMisses: cs.ctr.deltaMisses.Value(),
+		DeltaHits:   served.deltas(),
+		DeltaMisses: served.fulls(),
 
 		BytesIn:      cs.ctr.bytesIn.Value(),
 		BytesShipped: cs.ctr.bytesShipped.Value(),
+
+		GraphDirect:   served[ReasonDirect],
+		GraphComposed: served[ReasonChain],
+		GraphFallback: served[ReasonVersionAgedOut],
 	}
 	st.ResidentBytes = cs.res.Total()
 	st.Spilled = cs.spilled.Load()
 	st.GraphEdgeBytes = cs.res.Usage().EdgeBytes
-	st.GraphDirect = cs.gDirect.Load()
-	st.GraphComposed = cs.gComposed.Load()
-	st.GraphFallback = cs.gFallback.Load()
 	cs.mu.RLock()
 	st.GraphVersions = len(cs.bases)
 	st.GraphEdges = len(cs.edges)
@@ -147,8 +150,9 @@ func (e *Engine) AllClassStats() []ClassStats {
 
 // collect contributes the computed metric series — values derived from live
 // engine state rather than accumulated counters — to every exposition
-// scrape: global bytes saved and class count, plus per-class base
-// version/age and anonymization progress.
+// scrape: global bytes saved, class count and responses by reason, plus
+// per-class delta hits and misses, base version/age and anonymization
+// progress.
 func (e *Engine) collect(c *metrics.Collection) {
 	saved := e.ctr.bytesDirect.Value() - e.ctr.bytesDelta.Value() - e.ctr.bytesFull.Value()
 	c.Counter("cbde_bytes_saved_total",
@@ -200,15 +204,6 @@ func (e *Engine) collect(c *metrics.Collection) {
 	c.Counter("cbde_encode_replayed_bytes_total",
 		"Encoded document bytes covered by replaying the URL's previous delta instead of searching.",
 		nil, float64(e.ctr.encodeReplayed.Value()))
-	c.Counter("cbde_graph_direct_total",
-		"Delta responses encoded directly against the version the client holds.",
-		nil, float64(e.ctr.graphDirect.Value()))
-	c.Counter("cbde_graph_composed_total",
-		"Delta responses served as composed chains of cached version-graph edges.",
-		nil, float64(e.ctr.graphComposed.Value()))
-	c.Counter("cbde_graph_fallback_full_total",
-		"Full responses forced by the client's version aging out of the graph.",
-		nil, float64(e.ctr.graphFallback.Value()))
 
 	// Disk-tier series exist only when the tier is configured, so -check
 	// on untiered servers stays meaningful and dashboards can feature-
@@ -248,9 +243,17 @@ func (e *Engine) collect(c *metrics.Collection) {
 	states := e.states()
 	c.Gauge("cbde_classes", "Classes currently tracked by the engine.",
 		nil, float64(len(states)))
+	var served reasonCounts
 	for _, cs := range states {
+		served.add(cs)
 		st := e.classStats(cs, now)
 		label := []metrics.Label{{Name: "class", Value: st.ID}}
+		c.Counter("cbde_class_delta_hits_total",
+			"Delta responses served for the class.",
+			label, float64(st.DeltaHits))
+		c.Counter("cbde_class_delta_misses_total",
+			"Full responses served for the class, whatever their reason.",
+			label, float64(st.DeltaMisses))
 		c.Gauge("cbde_class_base_version",
 			"Newest distributable base-file version for the class.",
 			label, float64(st.BaseVersion))
@@ -262,5 +265,15 @@ func (e *Engine) collect(c *metrics.Collection) {
 				"Comparisons completed over comparisons required by the running anonymization process.",
 				label, float64(st.AnonDone)/float64(st.AnonNeeded))
 		}
+	}
+	for r := ReasonDirect; r < numReasons; r++ {
+		kind := KindFull
+		if r.delta() {
+			kind = KindDelta
+		}
+		c.Counter("cbde_responses_total",
+			"Responses by kind and reason; the full ones are P_error broken down by cause.",
+			[]metrics.Label{{Name: "kind", Value: kind.String()}, {Name: "reason", Value: r.String()}},
+			float64(served[r]))
 	}
 }

@@ -93,23 +93,15 @@ type Config struct {
 	DisableAnonymization bool
 	// Codec configures the Vdelta coder.
 	Codec []vdelta.Option
-	// GzipDeltas compresses deltas with gzip before shipping, as in the
-	// paper's experiments. Default true; set GzipOff to disable.
-	GzipOff bool
 	// MaxDeltaRatio triggers a basic-rebase when the (uncompressed) delta
 	// exceeds this fraction of the document size. Default 0.5.
 	MaxDeltaRatio float64
-	// KeepBaseVersions is how many distributed base-file versions per class
-	// stay available for clients that hold an older version. Default 2.
-	// GraphDepth supersedes it as the retention bound when set; it remains
-	// as the default depth for configurations that predate the graph.
-	KeepBaseVersions int
 	// GraphDepth bounds the per-class version graph: up to GraphDepth
 	// recent base versions stay resident, linked by delta edges between
 	// adjacent ones, so a client on any retained version is served a
 	// direct delta or a composed chain of cached edges instead of a full
-	// response. Depth 1 keeps only the current version (no edges, the
-	// pre-graph behavior at K=1). Default: KeepBaseVersions.
+	// response. Depth 1 keeps only the current version (no edges).
+	// Default 2.
 	GraphDepth int
 	// MemBudget caps resident class storage — installed base-file versions,
 	// selector-held documents, and codec indexes — in bytes. Over budget,
@@ -133,9 +125,6 @@ type Config struct {
 	// segments are deleted and their classes degrade like plain evictions.
 	// 0 (default) leaves the tier unbounded. Requires SpillDir.
 	DiskBudget int64
-	// SpillSegmentBytes overrides the spill segment rotation size
-	// (default 4 MiB); tests use small values to force rotation.
-	SpillSegmentBytes int64
 	// DeltaCacheOff disables delta memoization. By default the engine
 	// memoizes each encoded (class, fromVersion, document, format) delta
 	// with singleflight coalescing (internal/deltacache), so repeated and
@@ -163,11 +152,8 @@ func (c Config) withDefaults() Config {
 	if c.MaxDeltaRatio <= 0 || c.MaxDeltaRatio > 1 {
 		c.MaxDeltaRatio = 0.5
 	}
-	if c.KeepBaseVersions <= 0 {
-		c.KeepBaseVersions = 2
-	}
 	if c.GraphDepth <= 0 {
-		c.GraphDepth = c.KeepBaseVersions
+		c.GraphDepth = 2
 	}
 	if c.Now == nil {
 		c.Now = time.Now
@@ -300,15 +286,17 @@ type Response struct {
 	// LatestVersion is the newest distributable base-file version for the
 	// class; clients holding older versions should refresh.
 	LatestVersion int
-	// Payload is the delta (gzipped unless GzipOff) for KindDelta, nil for
-	// KindFull (the caller already holds Doc).
+	// Payload is the delta for KindDelta, nil for KindFull (the caller
+	// already holds Doc).
 	Payload []byte
 	// Gzipped reports whether Payload is gzip-compressed.
 	Gzipped bool
 	// Format is the wire format of Payload for KindDelta.
 	Format Format
+	// Reason says why the response is a delta or a full; see Reason.
+	Reason Reason
 	// BasicRebase reports that this request triggered a basic-rebase
-	// because its delta came out too large.
+	// because its delta came out too large (Reason is ReasonDeltaTooBig).
 	BasicRebase bool
 	// ChainLen is the number of segments in a FormatVdeltaChain payload
 	// (edge deltas plus the tip delta); 0 for every other format.
@@ -523,12 +511,11 @@ type classState struct {
 	// path only touches atomics.
 	ctr classCounters
 
-	// gDirect, gComposed, and gFallback are the class's version-graph serve
-	// counters: single-delta responses, composed-chain responses, and full
-	// responses forced by the client's version aging out of the graph.
-	gDirect   atomic.Int64
-	gComposed atomic.Int64
-	gFallback atomic.Int64
+	// served counts the class's responses by Reason; settle adds exactly
+	// one per response. Every response count the engine reports — Stats,
+	// GraphStats, ClassStats, cbde_responses_total — is a sum over these
+	// cells, which is exact because a class never leaves the store.
+	served [numReasons]atomic.Int64
 }
 
 var _ store.Entry = (*classState)(nil)
@@ -656,21 +643,17 @@ func (cs *classState) Evict() int64 {
 // ClassStats and the exposition collector.
 type classCounters struct {
 	requests     *metrics.Counter
-	deltaHits    *metrics.Counter // delta responses served
-	deltaMisses  *metrics.Counter // full responses served (no usable base)
 	bytesIn      *metrics.Counter // document bytes entering from the origin
 	bytesShipped *metrics.Counter // payload bytes leaving to clients
 }
 
 // hotCounters are the engine's per-request counters, resolved once at
 // construction so the request path never takes the registry's name-lookup
-// lock.
+// lock. Responses are counted by reason in the classes' served cells.
 type hotCounters struct {
 	requests       *metrics.Counter
 	bytesDirect    *metrics.Counter
-	responsesDelta *metrics.Counter
 	bytesDelta     *metrics.Counter
-	responsesFull  *metrics.Counter
 	bytesFull      *metrics.Counter
 	classesCreated *metrics.Counter
 	classifyProbes *metrics.Counter
@@ -687,9 +670,6 @@ type hotCounters struct {
 	encodeBytes    *metrics.Counter // target bytes through the vdelta encoder
 	encodeReplayed *metrics.Counter // of those, bytes covered by hint replay
 	faultIns       *metrics.Counter // spilled classes faulted in from disk
-	graphDirect    *metrics.Counter // single-delta responses (graph depth 1 hop)
-	graphComposed  *metrics.Counter // composed-chain responses
-	graphFallback  *metrics.Counter // fulls forced by an aged-out client version
 }
 
 // Engine implements class-based delta-encoding. Create one with NewEngine;
@@ -747,8 +727,6 @@ type Engine struct {
 	// Per-class labeled metric families; each classState resolves its
 	// children once at creation.
 	famClassRequests *metrics.CounterFamily
-	famClassHits     *metrics.CounterFamily
-	famClassMisses   *metrics.CounterFamily
 	famClassBytesIn  *metrics.CounterFamily
 	famClassShipped  *metrics.CounterFamily
 }
@@ -783,11 +761,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 	}
 	e.acct = e.cstore.Accountant()
 	if cfg.SpillDir != "" {
-		tier, err := store.OpenTier(store.TierConfig{
-			Dir:          cfg.SpillDir,
-			MaxBytes:     cfg.DiskBudget,
-			SegmentBytes: cfg.SpillSegmentBytes,
-		})
+		tier, err := store.OpenTier(store.TierConfig{Dir: cfg.SpillDir, MaxBytes: cfg.DiskBudget})
 		if err != nil {
 			return nil, err
 		}
@@ -796,9 +770,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 	e.ctr = hotCounters{
 		requests:       e.reg.Counter("requests"),
 		bytesDirect:    e.reg.Counter("bytes.direct"),
-		responsesDelta: e.reg.Counter("responses.delta"),
 		bytesDelta:     e.reg.Counter("bytes.delta"),
-		responsesFull:  e.reg.Counter("responses.full"),
 		bytesFull:      e.reg.Counter("bytes.full"),
 		classesCreated: e.reg.Counter("classes.created"),
 		classifyProbes: e.reg.Counter("classify.probes"),
@@ -815,9 +787,6 @@ func NewEngine(cfg Config) (*Engine, error) {
 		encodeBytes:    e.reg.Counter("encode.target_bytes"),
 		encodeReplayed: e.reg.Counter("encode.replayed_bytes"),
 		faultIns:       e.reg.Counter("store.faultins"),
-		graphDirect:    e.reg.Counter("graph.direct"),
-		graphComposed:  e.reg.Counter("graph.composed"),
-		graphFallback:  e.reg.Counter("graph.fallback"),
 	}
 	e.docSeed = maphash.MakeSeed()
 	if cfg.Mode == ModeClassBased {
@@ -852,10 +821,6 @@ func NewEngine(cfg Config) (*Engine, error) {
 
 	e.famClassRequests = e.reg.CounterFamily("cbde_class_requests_total",
 		"Requests routed to the class.", "class")
-	e.famClassHits = e.reg.CounterFamily("cbde_class_delta_hits_total",
-		"Delta responses served for the class.", "class")
-	e.famClassMisses = e.reg.CounterFamily("cbde_class_delta_misses_total",
-		"Full responses served for the class (no usable base-file).", "class")
 	e.famClassBytesIn = e.reg.CounterFamily("cbde_class_bytes_in_total",
 		"Document bytes fetched from the origin for the class.", "class")
 	e.famClassShipped = e.reg.CounterFamily("cbde_class_bytes_shipped_total",
@@ -889,8 +854,6 @@ func (e *Engine) newClassState(key string, class *classify.Class) *classState {
 		edges: make(map[int]*versionEdge),
 		ctr: classCounters{
 			requests:     e.famClassRequests.With(key),
-			deltaHits:    e.famClassHits.With(key),
-			deltaMisses:  e.famClassMisses.With(key),
 			bytesIn:      e.famClassBytesIn.With(key),
 			bytesShipped: e.famClassShipped.With(key),
 		},
@@ -954,16 +917,20 @@ func (e *Engine) states() []*classState {
 	return out
 }
 
-// Process runs one request through the pipeline and decides what to send.
-//
-// The pipeline is split into a short mutation phase under the class write
-// lock (selector observation, anonymization advance, base-file snapshot)
-// and an unlocked encode phase. Concurrent requests to the same class
+// Process runs one request through route → observe → snapshot → decide →
+// encode → settle (DESIGN.md §8). Observe and snapshot are one short
+// mutation phase under the class write lock; decide is a pure function of
+// the snapshot returning the response's Reason; the encode runs unlocked
+// and can only demote a delta plan to a full; settle counts the response
+// in exactly one reason cell. Concurrent requests to the same class
 // therefore overlap on the expensive part — the 6-8 ms/delta encode that
 // bounds the capacity experiment of Section VI-C.
 func (e *Engine) Process(req Request) (Response, error) {
 	if req.Doc == nil {
 		return Response{}, ErrNoDocument
+	}
+	if req.Format == 0 {
+		req.Format = FormatVdelta
 	}
 	now := e.cfg.Now()
 	// tr is nil when tracing is disabled; every tr method below is then a
@@ -995,9 +962,9 @@ func (e *Engine) Process(req Request) (Response, error) {
 	cs.ctr.requests.Inc()
 	cs.ctr.bytesIn.Add(int64(len(req.Doc)))
 
-	// Mutation phase: feed the document to the selector (Section IV), drive
-	// the anonymization pipeline (Section V), and snapshot what the encode
-	// needs.
+	// Observe: feed the document to the selector (Section IV) and drive the
+	// anonymization pipeline (Section V); then snapshot what decide and the
+	// encode need.
 	t0 = tr.Now()
 	cs.mu.Lock()
 	ev := cs.selector.ObserveTagged(req.Doc, req.UserID, now)
@@ -1015,7 +982,11 @@ func (e *Engine) Process(req Request) (Response, error) {
 	cs.mu.Unlock()
 	tr.Record(obs.StageSelect, t0, 0)
 
-	resp := e.respond(cs, snap, req, now, tr)
+	why := decide(snap, len(req.Doc), e.cfg.MaxDeltaRatio, e.estimateChain(snap, req.Doc))
+	resp := Response{Kind: KindFull, LatestVersion: snap.distVersion, Reason: why}
+	if why.delta() {
+		resp = e.encode(cs, snap, req, why, now, tr)
+	}
 	resp.ClassID = cs.id
 
 	// Budget maintenance runs with no class locks held, after this
@@ -1031,36 +1002,7 @@ func (e *Engine) Process(req Request) (Response, error) {
 		tr.Record(obs.StageEvict, t0, freed)
 	}
 
-	if resp.Kind == KindDelta {
-		e.ctr.responsesDelta.Inc()
-		e.ctr.bytesDelta.Add(int64(len(resp.Payload)))
-		cs.ctr.deltaHits.Inc()
-		cs.ctr.bytesShipped.Add(int64(len(resp.Payload)))
-	} else {
-		e.ctr.responsesFull.Inc()
-		e.ctr.bytesFull.Add(int64(len(req.Doc)))
-		cs.ctr.deltaMisses.Inc()
-		cs.ctr.bytesShipped.Add(int64(len(req.Doc)))
-	}
-	// Version-graph serve accounting: every delta is either one hop
-	// (direct) or a composed chain; a full response counts as a graph
-	// fallback only when the client's advertised version aged out.
-	switch {
-	case resp.Kind == KindDelta && resp.Format == FormatVdeltaChain:
-		e.ctr.graphComposed.Inc()
-		cs.gComposed.Add(1)
-		if id := req.TraceCtx.ID; !id.IsZero() {
-			e.chainHist.ObserveExemplar(float64(resp.ChainLen), id.Hi, id.Lo, now.Unix())
-		} else {
-			e.chainHist.Observe(float64(resp.ChainLen))
-		}
-	case resp.Kind == KindDelta:
-		e.ctr.graphDirect.Inc()
-		cs.gDirect.Add(1)
-	case snap.heldStale:
-		e.ctr.graphFallback.Inc()
-		cs.gFallback.Add(1)
-	}
+	e.settle(cs, req, resp, now)
 	if sum := tr.Finish(); sum != nil {
 		e.observeTrace(sum)
 		resp.Trace = sum
@@ -1244,284 +1186,6 @@ func (e *Engine) installBase(cs *classState, v int, base []byte, now time.Time) 
 	e.ctr.basesInstalled.Inc()
 }
 
-// encodeSnapshot captures, under the class lock, everything respond needs
-// so the delta encode can run unlocked. All referenced byte payloads
-// (base bytes, edge deltas) are immutable, so the snapshot stays valid
-// even if the graph is concurrently pruned or rebased.
-type encodeSnapshot struct {
-	distVersion   int          // distributable version at snapshot time
-	clientVersion int          // newest held version the server still stores
-	base          *baseVersion // base to encode against; nil → full response
-	// chain, when non-nil, is the version graph's edge walk from
-	// clientVersion up to distVersion, and tipBase is the current version's
-	// base — the composed-chain alternative to encoding directly against
-	// base. nil when the client is current or the walk is broken.
-	chain   []*versionEdge
-	tipBase *baseVersion
-	// heldStale reports that the client advertised a version for this class
-	// but none it holds is retained — the graph aged it out.
-	heldStale bool
-}
-
-// snapshotLocked picks the base-file version to delta against — the newest
-// version the client holds that the server still stores — and, for a
-// lagging client, walks the version graph to capture the composed-chain
-// alternative. Callers hold cs.mu.
-func (cs *classState) snapshotLocked(req Request) encodeSnapshot {
-	snap := encodeSnapshot{distVersion: cs.distVersion}
-	if cs.distVersion == 0 {
-		// No distributable base yet (anonymization in progress).
-		return snap
-	}
-	held := false
-	req.forEachHeldVersion(cs.id, func(v int) {
-		held = true
-		if bv, ok := cs.bases[v]; ok && v > snap.clientVersion {
-			snap.clientVersion, snap.base = v, bv
-		}
-	})
-	if snap.base == nil {
-		snap.heldStale = held
-		return snap
-	}
-	if snap.clientVersion == cs.distVersion {
-		return snap
-	}
-	// Walk the edges from the client's version toward the current one. A
-	// gap (edge or endpoint missing — residue striding, a partial fault-in)
-	// leaves chain nil and the client gets a direct encode.
-	var chain []*versionEdge
-	for w := snap.clientVersion; w != cs.distVersion; {
-		ge := cs.edges[w]
-		if ge == nil {
-			return snap
-		}
-		if _, ok := cs.bases[ge.to]; !ok {
-			return snap
-		}
-		chain = append(chain, ge)
-		w = ge.to
-		if len(chain) > len(cs.edges) {
-			return snap // unreachable cycle guard
-		}
-	}
-	if tip, ok := cs.bases[cs.distVersion]; ok {
-		snap.chain, snap.tipBase = chain, tip
-	}
-	return snap
-}
-
-// latestVersion reads the class's distributable version under a read lock.
-func (e *Engine) latestVersion(cs *classState) int {
-	cs.mu.RLock()
-	defer cs.mu.RUnlock()
-	return cs.distVersion
-}
-
-// respond chooses between a delta and a full response. It runs with no
-// class lock held. With the delta cache enabled (the default) it first
-// consults the class's memo cache: a committed result is served by
-// aliasing the immutable cached payload, a concurrent encode for the same
-// key is joined (singleflight — the caller blocks until the leader
-// commits and shares its outcome), and only a cold key actually encodes,
-// via encodeResponse, then commits the outcome for every sharer.
-//
-// The memo key fingerprints the document content, so two requests share a
-// result only when they hold the same base version and carry byte-equal
-// documents in the same wire format; the anonymization epoch guards the
-// whole cache (see deltacache.Cache.Acquire).
-func (e *Engine) respond(cs *classState, snap encodeSnapshot, req Request, now time.Time, tr *obs.Trace) Response {
-	if snap.base == nil {
-		return Response{Kind: KindFull, LatestVersion: snap.distVersion}
-	}
-	format := req.Format
-	if format == 0 {
-		format = FormatVdelta
-	}
-	// A lagging client with an intact edge walk gets whichever of direct
-	// encode and composed chain the estimator predicts is smaller on the
-	// wire. Ties go to the chain: its edges are already encoded, so it
-	// skips the full-document direct encode entirely. Chains are vdelta
-	// framing; VCDIFF clients always encode direct.
-	if len(snap.chain) > 0 && format == FormatVdelta {
-		direct := e.estimator.Estimate(snap.base.bytes, req.Doc)
-		composed := e.estimator.Estimate(snap.tipBase.bytes, req.Doc)
-		for _, ge := range snap.chain {
-			composed += ge.rawLen
-		}
-		// An oversized *direct* delta for a lagging client is not content
-		// drift — the tip still matches the document — so when the direct
-		// estimate breaches the rebase ratio the chain serves even if it
-		// predicts larger, rather than letting one stale client trigger a
-		// spurious class-wide rebase.
-		if composed <= direct || float64(direct) > e.cfg.MaxDeltaRatio*float64(len(req.Doc)) {
-			return e.respondChain(cs, snap, req, now, tr)
-		}
-	}
-	if cs.deltas == nil {
-		return e.encodeResponse(cs, snap, req, format, now, tr)
-	}
-
-	t0 := tr.Now()
-	// Direct encodes use To 0: the target is the document itself, not a
-	// retained graph version (composed chains key (From, To); see
-	// respondChain).
-	key := deltacache.Key{
-		From:    snap.clientVersion,
-		DocHash: maphash.Bytes(e.docSeed, req.Doc),
-		DocLen:  len(req.Doc),
-		Format:  uint8(format),
-	}
-	res, fl, st := cs.deltas.Acquire(key, e.anonEpoch.Load())
-	switch st {
-	case deltacache.StatusHit:
-		e.ctr.memoHits.Inc()
-	case deltacache.StatusCoalesced:
-		res = fl.Wait()
-		e.ctr.memoCoalesced.Inc()
-	default: // StatusLead: this request owns the encode for the key.
-		e.ctr.memoMisses.Inc()
-		tr.Record(obs.StageMemo, t0, 0)
-		resp := e.encodeResponse(cs, snap, req, format, now, tr)
-		out := deltacache.Result{Outcome: deltacache.OutcomeFull}
-		switch {
-		case resp.Kind == KindDelta:
-			// The payload is a fresh allocation (never pooled scratch; see
-			// encodeResponse), so retaining and sharing it by alias is safe.
-			out = deltacache.Result{
-				Outcome: deltacache.OutcomeDelta,
-				Payload: resp.Payload,
-				Gzipped: resp.Gzipped,
-			}
-		case resp.BasicRebase:
-			out.Outcome = deltacache.OutcomeTooBig
-		}
-		cs.deltas.Commit(fl, out)
-		return resp
-	}
-
-	tr.Record(obs.StageMemo, t0, int64(len(res.Payload)))
-	switch res.Outcome {
-	case deltacache.OutcomeDelta:
-		return Response{
-			Kind:          KindDelta,
-			BaseVersion:   snap.clientVersion,
-			LatestVersion: e.latestVersion(cs),
-			Payload:       res.Payload,
-			Gzipped:       res.Gzipped,
-			Format:        format,
-		}
-	case deltacache.OutcomeTooBig:
-		// The leader's delta was oversized and it chose a rebase. Follow it
-		// through basicRebase, whose under-lock revalidation ensures only
-		// one rebase lands however many sharers take this path.
-		return e.basicRebase(cs, snap, req, now)
-	default:
-		return Response{Kind: KindFull, LatestVersion: e.latestVersion(cs)}
-	}
-}
-
-// encodeResponse performs the actual delta encode for respond. It runs
-// with no class lock held: the snapshot's base bytes and codec index are
-// immutable, so concurrent requests to one class overlap on the encode.
-// Before answering, the class's distributable version is re-read under the
-// lock (encode-then-revalidate) so clients learn about rebases that landed
-// while we were encoding; the delta itself stays valid regardless, because
-// it was computed against bytes the client holds.
-//
-// The vdelta path encodes into a pooled scratch buffer and gzips from it,
-// so a steady-state delta response allocates only the returned payload.
-// The payload never aliases pooled memory — it is a fresh gzip output or a
-// fresh copy — which is what lets respond retain it in the memo cache.
-func (e *Engine) encodeResponse(cs *classState, snap encodeSnapshot, req Request, format Format, now time.Time, tr *obs.Trace) Response {
-	e.ctr.encodeRuns.Inc()
-	var delta []byte
-	var err error
-	var scratch *encodeBuf // non-nil when delta lives in pooled memory
-	t0 := tr.Now()
-	if format == FormatVCDIFF {
-		delta, err = vcdiff.Encode(snap.base.bytes, req.Doc)
-	} else {
-		// The base-file changes only on rebases, so its codec index is
-		// built once per version and reused across requests; the delta is
-		// built in request-scoped scratch, replaying what still verifies of
-		// the last delta encoded for this URL against this version.
-		scratch = e.getEncodeBuf()
-		var replayed int
-		delta, replayed, err = e.coder.EncodeHintedInto(snap.base.vdeltaIndex(e.coder), req.Doc, snap.base.hintFor(req.URL), scratch.buf)
-		scratch.buf = delta[:0] // retain grown capacity whatever path follows
-		e.ctr.encodeBytes.Add(int64(len(req.Doc)))
-		e.ctr.encodeReplayed.Add(int64(replayed))
-	}
-	tr.Record(obs.StageEncode, t0, int64(len(delta)))
-	release := func() {
-		if scratch != nil {
-			e.encBufs.Put(scratch)
-		}
-	}
-	if err != nil {
-		release()
-		return Response{Kind: KindFull, LatestVersion: e.latestVersion(cs)}
-	}
-	if float64(len(delta)) > e.cfg.MaxDeltaRatio*float64(len(req.Doc)) {
-		release()
-		return e.basicRebase(cs, snap, req, now)
-	}
-	if scratch != nil {
-		snap.base.setHint(req.URL, append([]byte(nil), delta...))
-	}
-
-	payload := delta
-	gzipped := false
-	if !e.cfg.GzipOff {
-		t0 = tr.Now()
-		if c := gzipx.AppendDelta(nil, delta); len(c) > 0 {
-			payload, gzipped = c, true
-		}
-		tr.Record(obs.StageGzip, t0, int64(len(payload)))
-	}
-	if !gzipped && scratch != nil {
-		// The uncompressed delta is pooled scratch; the payload escapes to
-		// the caller, so it must be a fresh copy.
-		payload = append([]byte(nil), delta...)
-	}
-	release()
-	return Response{
-		Kind:          KindDelta,
-		BaseVersion:   snap.clientVersion,
-		LatestVersion: e.latestVersion(cs),
-		Payload:       payload,
-		Gzipped:       gzipped,
-		Format:        format,
-	}
-}
-
-// basicRebase handles an oversized delta: the base-file has drifted too far
-// from the class, so the current document becomes the new base (Section
-// IV). The paper flushes the stored samples; the new base becomes
-// distributable after anonymization (class-based) or immediately
-// (baselines). The oversized delta was computed outside the lock, so the
-// class is first re-validated under the write lock: if another request
-// already rebased past the snapshot, the evidence is stale and the request
-// is served full without a second rebase.
-func (e *Engine) basicRebase(cs *classState, snap encodeSnapshot, req Request, now time.Time) Response {
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	if cs.distVersion != snap.distVersion {
-		return Response{Kind: KindFull, LatestVersion: cs.distVersion}
-	}
-	v := cs.selector.BasicRebase(req.Doc, req.UserID, now)
-	e.ctr.rebaseBasic.Inc()
-	if e.cfg.DisableAnonymization {
-		e.installBase(cs, v, append([]byte(nil), req.Doc...), now)
-	} else {
-		cs.anonProc = anonymize.NewProcess(req.Doc, req.UserID, e.cfg.Anon)
-		cs.anonSource = v
-		e.ctr.anonStarted.Inc()
-	}
-	return Response{Kind: KindFull, BasicRebase: true, LatestVersion: cs.distVersion}
-}
-
 // BaseFile returns a copy of the distributable base-file bytes for a class
 // and version. ok is false when the class or version is unknown (e.g.
 // pruned).
@@ -1577,8 +1241,9 @@ func (e *Engine) LatestBase(classID string) ([]byte, int, bool) {
 // Stats is a snapshot of the engine's behaviour, the raw material for the
 // paper's tables.
 type Stats struct {
-	Mode           Mode
-	Requests       int64
+	Mode     Mode
+	Requests int64
+	// FullResponses and DeltaResponses sum the classes' reason cells.
 	FullResponses  int64
 	DeltaResponses int64
 
@@ -1614,7 +1279,9 @@ func (e *Engine) Stats() Stats {
 	states := e.states()
 
 	var storage int64
+	var served reasonCounts
 	for _, cs := range states {
+		served.add(cs)
 		cs.mu.RLock()
 		for _, bv := range cs.bases {
 			storage += int64(len(bv.bytes))
@@ -1627,8 +1294,8 @@ func (e *Engine) Stats() Stats {
 	return Stats{
 		Mode:           e.cfg.Mode,
 		Requests:       e.ctr.requests.Value(),
-		FullResponses:  e.ctr.responsesFull.Value(),
-		DeltaResponses: e.ctr.responsesDelta.Value(),
+		FullResponses:  served.fulls(),
+		DeltaResponses: served.deltas(),
 		BytesDirect:    e.ctr.bytesDirect.Value(),
 		BytesDelta:     e.ctr.bytesDelta.Value(),
 		BytesFull:      e.ctr.bytesFull.Value(),

@@ -10,36 +10,6 @@ import (
 	"cbde/internal/vdelta"
 )
 
-func TestGzipOff(t *testing.T) {
-	e := newTestEngine(t, Config{Anon: anonymize.Config{M: 1, N: 3}, GzipOff: true})
-	classID := warmClass(t, e, "laptops", 8)
-	_, version, _ := e.LatestBase(classID)
-
-	doc := renderDoc("laptops", 1, 33, "nogzip")
-	resp, err := e.Process(Request{
-		URL: "www.shop.com/laptops/1", UserID: "nogzip", Doc: doc,
-		HaveClassID: classID, HaveVersion: version,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.Kind != KindDelta {
-		t.Fatalf("kind = %v", resp.Kind)
-	}
-	if resp.Gzipped {
-		t.Error("payload gzipped despite GzipOff")
-	}
-	// The raw payload must be a decodable vdelta stream.
-	base, _ := e.BaseFile(classID, resp.BaseVersion)
-	got, err := vdelta.Decode(base, resp.Payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, doc) {
-		t.Error("raw delta does not reconstruct")
-	}
-}
-
 func TestCodecOptionsRespected(t *testing.T) {
 	// A coarse codec must still round-trip end to end.
 	e := newTestEngine(t, Config{
@@ -97,7 +67,7 @@ func TestHeldPrefersNewestStoredVersion(t *testing.T) {
 	clock := newTestClock()
 	e := newTestEngine(t, Config{
 		DisableAnonymization: true,
-		KeepBaseVersions:     3,
+		GraphDepth:           3,
 		MaxDeltaRatio:        0.9,
 		Now:                  clock.Now,
 	})

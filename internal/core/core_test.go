@@ -351,7 +351,7 @@ func TestKeepBaseVersionsPrunes(t *testing.T) {
 	clock := newTestClock()
 	e := newTestEngine(t, Config{
 		DisableAnonymization: true,
-		KeepBaseVersions:     2,
+		GraphDepth:           2,
 		MaxDeltaRatio:        0.9,
 		Selector:             basefile.Config{SampleProb: 1, MaxSamples: 4},
 		Now:                  clock.Now,

@@ -185,7 +185,7 @@ func TestGraphComposedChainDeterministic(t *testing.T) {
 	}
 
 	now := e.cfg.Now()
-	first := e.respondChain(cs, snap, req, now, nil)
+	first := e.encode(cs, snap, req, ReasonChain, now, nil)
 	if first.Kind != KindDelta || first.Format != FormatVdeltaChain {
 		t.Fatalf("chain response = kind %v format %v, want chained delta", first.Kind, first.Format)
 	}
@@ -201,7 +201,7 @@ func TestGraphComposedChainDeterministic(t *testing.T) {
 		t.Errorf("chain length = %d, want %d edges + tip", first.ChainLen, len(snap.chain)+1)
 	}
 
-	second := e.respondChain(cs, snap, req, now, nil)
+	second := e.encode(cs, snap, req, ReasonChain, now, nil)
 	if second.Kind != KindDelta || !bytes.Equal(second.Payload, first.Payload) {
 		t.Error("repeat chain request did not share the memoized payload")
 	}

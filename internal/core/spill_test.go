@@ -110,7 +110,7 @@ func TestSpillFaultInServesDelta(t *testing.T) {
 
 func TestSpillFlashCrowdFaultsInOnce(t *testing.T) {
 	// Sampling off: a 16-user crowd would otherwise trigger group rebases
-	// that push the held version past KeepBaseVersions — legitimate full
+	// that push the held version past GraphDepth — legitimate full
 	// responses that have nothing to do with the fault-in under test.
 	e := newTestEngine(t, Config{
 		SpillDir:             t.TempDir(),

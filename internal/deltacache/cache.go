@@ -16,8 +16,8 @@
 //     leader exists per key per flight.
 //   - The leader encodes with no cache lock held and calls Commit, which
 //     publishes the result and wakes every waiter. Waiters share the
-//     leader's outcome verbatim — including "too big, rebase" and "serve
-//     full" outcomes — so a thundering herd performs one encode total.
+//     leader's result verbatim — including its reason for serving a full
+//     response instead — so a thundering herd performs one encode total.
 //   - Purge invalidates everything: committed payloads are uncharged and
 //     dropped; in-flight entries are unmapped but their waiters still
 //     receive the leader's result (the result was correct for the state
@@ -35,24 +35,6 @@ package deltacache
 import (
 	"sync"
 	"sync/atomic"
-)
-
-// Outcome classifies what the leader's encode produced for a key.
-type Outcome uint8
-
-const (
-	// OutcomeDelta is a successful delta encode; Payload holds the
-	// (possibly gzipped) delta bytes. The only outcome retained in the
-	// cache after commit.
-	OutcomeDelta Outcome = iota
-	// OutcomeFull means the engine served the document in full (no base
-	// available for the requested version). Shared with waiters, not
-	// retained: the next request re-probes engine state.
-	OutcomeFull
-	// OutcomeTooBig means the delta exceeded the configured ratio and the
-	// engine chose a rebase. Shared with waiters (who revalidate through
-	// the engine's rebase path), not retained.
-	OutcomeTooBig
 )
 
 // Key identifies one memoizable encode as an explicit (From, To) version
@@ -73,10 +55,14 @@ type Key struct {
 	Format  uint8
 }
 
-// Result is the shared outcome of one encode. Payload is immutable and
-// aliased by every sharer; callers must not modify it.
+// Result is the shared outcome of one encode. Reason is the engine's
+// reason for the response, opaque to the cache. A result with a Payload is
+// a delta and the only kind retained after commit; one without is shared
+// with waiters but not retained, so the next request re-probes engine
+// state. Payload is immutable and aliased by every sharer; callers must not
+// modify it.
 type Result struct {
-	Outcome Outcome
+	Reason  uint8
 	Payload []byte
 	Gzipped bool
 }
@@ -188,15 +174,15 @@ func (c *Cache) Acquire(key Key, epoch uint64) (res Result, fl *Flight, st Statu
 }
 
 // Commit publishes the leader's result: waiters wake with it, and a
-// delta outcome still present in the map is retained and charged to the
-// accountant. Non-delta outcomes are shared but not retained. Must be
+// result with a payload still present in the map is retained and charged
+// to the accountant. Results without one are shared but not retained. Must be
 // called exactly once per StatusLead flight, even on failure paths —
 // otherwise coalesced waiters block forever.
 func (c *Cache) Commit(fl *Flight, res Result) {
 	c.mu.Lock()
 	fl.res = res
 	if fl.inMap {
-		if res.Outcome == OutcomeDelta {
+		if len(res.Payload) > 0 {
 			c.addBytesLocked(int64(len(res.Payload)))
 		} else {
 			delete(c.m, fl.key)
@@ -217,9 +203,7 @@ func (c *Cache) evictOneLocked() {
 		default:
 			continue
 		}
-		if f.res.Outcome == OutcomeDelta {
-			c.addBytesLocked(-int64(len(f.res.Payload)))
-		}
+		c.addBytesLocked(-int64(len(f.res.Payload)))
 		delete(c.m, k)
 		f.inMap = false
 		c.invalidations.Add(1)
@@ -258,20 +242,6 @@ func (c *Cache) purgeLocked() int64 {
 	}
 	c.invalidations.Add(uint64(n))
 	return freed
-}
-
-// Bytes returns the retained payload bytes.
-func (c *Cache) Bytes() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.bytes
-}
-
-// Len returns the number of entries (committed plus in-flight).
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.m)
 }
 
 // Stats snapshots the cache.

@@ -21,7 +21,7 @@ func TestLeadCommitThenHit(t *testing.T) {
 		t.Fatalf("lead acquire returned a result: %+v", res)
 	}
 	payload := []byte("the gzipped delta bytes")
-	c.Commit(fl, Result{Outcome: OutcomeDelta, Payload: payload, Gzipped: true})
+	c.Commit(fl, Result{Reason: 1, Payload: payload, Gzipped: true})
 	if ledger != int64(len(payload)) {
 		t.Fatalf("ledger = %d after commit, want %d", ledger, len(payload))
 	}
@@ -33,7 +33,7 @@ func TestLeadCommitThenHit(t *testing.T) {
 	if fl2 != nil {
 		t.Fatal("hit returned a non-nil flight")
 	}
-	if !bytes.Equal(res.Payload, payload) || !res.Gzipped || res.Outcome != OutcomeDelta {
+	if !bytes.Equal(res.Payload, payload) || !res.Gzipped || res.Reason != 1 {
 		t.Fatalf("hit result = %+v, want the committed payload", res)
 	}
 	if &res.Payload[0] != &payload[0] {
@@ -49,24 +49,27 @@ func TestLeadCommitThenHit(t *testing.T) {
 	}
 }
 
+// TestNonDeltaOutcomesSharedButNotRetained: a result without a payload (a
+// full response, whatever its reason) reaches the waiters with its reason
+// but is neither retained nor charged.
 func TestNonDeltaOutcomesSharedButNotRetained(t *testing.T) {
-	for _, out := range []Outcome{OutcomeFull, OutcomeTooBig} {
+	for _, reason := range []uint8{3, 7} {
 		var ledger int64
 		c := New(8, func(d int64) { ledger += d })
 		key := Key{From: 2, DocHash: 7}
 		_, fl, st := c.Acquire(key, 0)
 		if st != StatusLead {
-			t.Fatalf("outcome %d: first acquire = %v, want lead", out, st)
+			t.Fatalf("reason %d: first acquire = %v, want lead", reason, st)
 		}
-		c.Commit(fl, Result{Outcome: out})
-		if got := fl.Wait(); got.Outcome != out {
-			t.Fatalf("waiter got outcome %d, want %d", got.Outcome, out)
+		c.Commit(fl, Result{Reason: reason})
+		if got := fl.Wait(); got.Reason != reason {
+			t.Fatalf("waiter got reason %d, want %d", got.Reason, reason)
 		}
 		if ledger != 0 {
-			t.Fatalf("outcome %d charged %d bytes", out, ledger)
+			t.Fatalf("reason %d charged %d bytes", reason, ledger)
 		}
 		if _, _, st := c.Acquire(key, 0); st != StatusLead {
-			t.Fatalf("outcome %d was retained: re-acquire = %v, want lead", out, st)
+			t.Fatalf("reason %d was retained: re-acquire = %v, want lead", reason, st)
 		}
 	}
 }
@@ -104,11 +107,11 @@ func TestCoalescingSharesOneResult(t *testing.T) {
 		<-started
 	}
 	payload := []byte("shared")
-	c.Commit(leader, Result{Outcome: OutcomeDelta, Payload: payload})
+	c.Commit(leader, Result{Reason: 1, Payload: payload})
 	wg.Wait()
 
 	for i, res := range results {
-		if res.Outcome != OutcomeDelta || !bytes.Equal(res.Payload, payload) {
+		if res.Reason != 1 || !bytes.Equal(res.Payload, payload) {
 			t.Fatalf("waiter %d result = %+v, want the leader's", i, res)
 		}
 		if len(res.Payload) > 0 && &res.Payload[0] != &payload[0] {
@@ -126,7 +129,7 @@ func TestPurgeUnchargesAndUnmapsInFlight(t *testing.T) {
 
 	// One committed entry and one in-flight entry.
 	_, fl1, _ := c.Acquire(Key{From: 1}, 0)
-	c.Commit(fl1, Result{Outcome: OutcomeDelta, Payload: make([]byte, 64)})
+	c.Commit(fl1, Result{Reason: 1, Payload: make([]byte, 64)})
 	_, fl2, st := c.Acquire(Key{From: 2}, 0)
 	if st != StatusLead {
 		t.Fatalf("acquire = %v, want lead", st)
@@ -138,20 +141,20 @@ func TestPurgeUnchargesAndUnmapsInFlight(t *testing.T) {
 	if ledger != 0 {
 		t.Fatalf("ledger = %d after purge, want 0", ledger)
 	}
-	if c.Len() != 0 {
-		t.Fatalf("len = %d after purge, want 0", c.Len())
+	if c.Stats().Entries != 0 {
+		t.Fatalf("len = %d after purge, want 0", c.Stats().Entries)
 	}
 
 	// The purged in-flight leader still commits and wakes waiters, but the
 	// result is not retained or charged.
 	done := make(chan Result, 1)
 	go func() { done <- fl2.Wait() }()
-	c.Commit(fl2, Result{Outcome: OutcomeDelta, Payload: make([]byte, 32)})
-	if res := <-done; res.Outcome != OutcomeDelta || len(res.Payload) != 32 {
+	c.Commit(fl2, Result{Reason: 1, Payload: make([]byte, 32)})
+	if res := <-done; res.Reason != 1 || len(res.Payload) != 32 {
 		t.Fatalf("post-purge waiter result = %+v", res)
 	}
-	if ledger != 0 || c.Len() != 0 {
-		t.Fatalf("post-purge commit charged (%d bytes, %d entries), want nothing retained", ledger, c.Len())
+	if ledger != 0 || c.Stats().Entries != 0 {
+		t.Fatalf("post-purge commit charged (%d bytes, %d entries), want nothing retained", ledger, c.Stats().Entries)
 	}
 	if _, _, st := c.Acquire(Key{From: 2}, 0); st != StatusLead {
 		t.Fatalf("purged key re-acquire = %v, want lead", st)
@@ -163,7 +166,7 @@ func TestEpochMismatchPurges(t *testing.T) {
 	c := New(8, func(d int64) { ledger += d })
 	key := Key{From: 1, DocHash: 5}
 	_, fl, _ := c.Acquire(key, 0)
-	c.Commit(fl, Result{Outcome: OutcomeDelta, Payload: make([]byte, 10)})
+	c.Commit(fl, Result{Reason: 1, Payload: make([]byte, 10)})
 
 	// Same key, newer epoch: the stale entry must not be served.
 	_, _, st := c.Acquire(key, 1)
@@ -183,12 +186,12 @@ func TestCapEvictsCommittedEntries(t *testing.T) {
 		if st != StatusLead {
 			t.Fatalf("key %d: acquire = %v, want lead", i, st)
 		}
-		c.Commit(fl, Result{Outcome: OutcomeDelta, Payload: make([]byte, 10)})
+		c.Commit(fl, Result{Reason: 1, Payload: make([]byte, 10)})
 	}
-	if n := c.Len(); n > 2 {
+	if n := c.Stats().Entries; n > 2 {
 		t.Fatalf("len = %d, want <= cap 2", n)
 	}
-	if want := int64(c.Len()) * 10; ledger != want {
+	if want := int64(c.Stats().Entries) * 10; ledger != want {
 		t.Fatalf("ledger = %d, want %d (exactly the retained entries)", ledger, want)
 	}
 }
@@ -206,17 +209,17 @@ func TestConcurrentAcquireCommitPurge(t *testing.T) {
 				res, fl, st := c.Acquire(key, uint64(i%3))
 				switch st {
 				case StatusLead:
-					out := Result{Outcome: OutcomeDelta, Payload: []byte(fmt.Sprintf("g%d-i%d", g, i))}
+					out := Result{Reason: 1, Payload: []byte(fmt.Sprintf("g%d-i%d", g, i))}
 					if i%5 == 0 {
-						out = Result{Outcome: OutcomeFull}
+						out = Result{Reason: 3}
 					}
 					c.Commit(fl, out)
 				case StatusCoalesced:
 					res = fl.Wait()
 					_ = res
 				case StatusHit:
-					if res.Outcome != OutcomeDelta {
-						t.Errorf("hit on a non-delta outcome: %+v", res)
+					if len(res.Payload) == 0 {
+						t.Errorf("hit on a result without a payload: %+v", res)
 						return
 					}
 				}
@@ -231,7 +234,7 @@ func TestConcurrentAcquireCommitPurge(t *testing.T) {
 	if got := ledger.Load(); got != 0 {
 		t.Fatalf("ledger residue after final purge: %d", got)
 	}
-	if got := c.Bytes(); got != 0 {
+	if got := c.Stats().Bytes; got != 0 {
 		t.Fatalf("cache bytes after final purge: %d", got)
 	}
 }

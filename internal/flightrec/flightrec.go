@@ -123,6 +123,9 @@ type Record struct {
 	Class string
 	// Outcome classifies the response.
 	Outcome Outcome
+	// EngineReason names the engine's core.Reason for the response ("" if
+	// the engine did not answer), e.g. "version_aged_out".
+	EngineReason string
 	// Start is the request arrival time, Unix nanoseconds.
 	Start int64
 	// Total is the server-side wall time for the request.
@@ -336,7 +339,12 @@ func appendRecordJSON(b []byte, rec *Record) []byte {
 	}
 	b = append(b, `,"outcome":"`...)
 	b = append(b, rec.Outcome.String()...)
-	b = append(b, `","startUnixNano":`...)
+	b = append(b, '"')
+	if rec.EngineReason != "" {
+		b = append(b, `,"reason":`...)
+		b = strconv.AppendQuote(b, rec.EngineReason)
+	}
+	b = append(b, `,"startUnixNano":`...)
 	b = strconv.AppendInt(b, rec.Start, 10)
 	b = append(b, `,"totalUs":`...)
 	b = strconv.AppendInt(b, rec.Total.Microseconds(), 10)

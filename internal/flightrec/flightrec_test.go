@@ -116,12 +116,13 @@ func TestWriteNDJSON(t *testing.T) {
 	spans := [obs.NumStages]obs.Span{}
 	spans[obs.StageGzip] = obs.Span{Dur: 123 * time.Microsecond, Bytes: 77}
 	r.Record(Record{
-		Trace:   obs.TraceContext{ID: obs.TraceID{Hi: 0xab, Lo: 0xcd}, Origin: "n0", Hop: 1},
-		Class:   "www.shop.com/laptops",
-		Outcome: OutcomeDelta,
-		Start:   1_000_000,
-		Total:   3 * time.Millisecond,
-		DocBytes: 1000, WireBytes: 80,
+		Trace:        obs.TraceContext{ID: obs.TraceID{Hi: 0xab, Lo: 0xcd}, Origin: "n0", Hop: 1},
+		Class:        "www.shop.com/laptops",
+		Outcome:      OutcomeDelta,
+		EngineReason: "chain",
+		Start:        1_000_000,
+		Total:        3 * time.Millisecond,
+		DocBytes:     1000, WireBytes: 80,
 		Spans: spans,
 	})
 	var sb strings.Builder
@@ -140,8 +141,8 @@ func TestWriteNDJSON(t *testing.T) {
 	if m["node"] != "n1" || m["origin"] != "n0" || m["hop"] != float64(1) {
 		t.Errorf("node/origin/hop = %v/%v/%v", m["node"], m["origin"], m["hop"])
 	}
-	if m["outcome"] != "delta" || m["class"] != "www.shop.com/laptops" {
-		t.Errorf("outcome/class = %v/%v", m["outcome"], m["class"])
+	if m["outcome"] != "delta" || m["reason"] != "chain" || m["class"] != "www.shop.com/laptops" {
+		t.Errorf("outcome/reason/class = %v/%v/%v", m["outcome"], m["reason"], m["class"])
 	}
 	if m["sampled"] != true {
 		t.Errorf("sampled = %v", m["sampled"])
@@ -179,11 +180,11 @@ func TestRecordAllocFree(t *testing.T) {
 	}
 	r := New("n0", 1024, time.Hour) // nothing crosses the threshold
 	rec := Record{
-		Trace:   ctxN(7),
-		Class:   "www.shop.com/laptops",
-		Outcome: OutcomeDelta,
-		Start:   12345,
-		Total:   time.Millisecond,
+		Trace:    ctxN(7),
+		Class:    "www.shop.com/laptops",
+		Outcome:  OutcomeDelta,
+		Start:    12345,
+		Total:    time.Millisecond,
 		DocBytes: 4096, WireBytes: 128,
 	}
 	allocs := testing.AllocsPerRun(1000, func() {

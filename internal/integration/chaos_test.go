@@ -29,7 +29,7 @@ func TestChaos(t *testing.T) {
 			MaxSamples: 4,
 			Seed:       99,
 		},
-		KeepBaseVersions: 2,
+		GraphDepth: 2,
 	})
 	// A second, tightly constrained proxy: cache evictions occur mid-run
 	// for the workers routed through it.
