@@ -37,9 +37,9 @@ import (
 	"cbde/internal/store"
 )
 
-// coreSeries are the series -check requires; they cover the acceptance
-// criteria (per-class delta hits, bytes saved, per-stage latency) plus the
-// legacy global counters.
+// coreSeries are the series -check requires: per-class requests, bytes and
+// delta hits, bytes saved, responses by reason, the memo cache, and
+// per-stage latency.
 var coreSeries = []string{
 	"cbde_class_requests_total",
 	"cbde_class_delta_hits_total",
@@ -58,8 +58,6 @@ var coreSeries = []string{
 	"cbde_process_duration_seconds_bucket",
 	"cbde_process_duration_seconds_quantile",
 	"cbde_build_info",
-	"requests",
-	"bytes_direct",
 }
 
 func main() {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -44,14 +45,14 @@ func testStack(t *testing.T) string {
 	front := httptest.NewServer(srv)
 	t.Cleanup(front.Close)
 
-	var classID, version string
+	var classID string
+	var version int
 	for u := 0; u < 5; u++ {
 		req, _ := http.NewRequest("GET", front.URL+"/d/0", nil)
 		req.Header.Set(deltahttp.HeaderCapable, "1")
 		req.Header.Set(deltahttp.HeaderUser, fmt.Sprintf("u%d", u))
 		if classID != "" {
-			req.Header.Set(deltahttp.HeaderHaveClass, classID)
-			req.Header.Set(deltahttp.HeaderHaveVersion, version)
+			req.Header.Set(deltahttp.HeaderHave, deltahttp.FormatHave([]deltahttp.Held{{ClassID: classID, Version: version}}))
 		}
 		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
@@ -61,7 +62,7 @@ func testStack(t *testing.T) string {
 		if c := resp.Header.Get(deltahttp.HeaderClass); c != "" {
 			classID = c
 		}
-		if v := resp.Header.Get(deltahttp.HeaderLatestVersion); v != "" {
+		if v, err := strconv.Atoi(resp.Header.Get(deltahttp.HeaderLatestVersion)); err == nil {
 			version = v
 		}
 	}

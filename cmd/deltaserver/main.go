@@ -76,9 +76,6 @@ func run(args []string) error {
 		spillDir   = fs.String("spill-dir", "", "keep class state in compact binary segments in this directory: evicted classes spill there and fault back in on demand, every class is checkpointed there every 5 minutes and at shutdown, and a restart resumes from it; empty = disabled")
 		diskBudget = fs.String("disk-budget", "", "disk-tier byte budget with optional k/m/g suffix; oldest spill segments are dropped when exceeded (with -spill-dir; empty = unbounded)")
 
-		deltaCache        = fs.Bool("delta-cache", true, "memoize encoded deltas per class with singleflight coalescing")
-		deltaCacheEntries = fs.Int("delta-cache-entries", 0, "max memoized deltas per class (0 = default 256)")
-
 		graphDepth = fs.Int("graph-depth", 0, "version graph: retained base versions per class, served via direct or chained deltas (0 = default 2; 1 = no edges)")
 
 		nodeID          = fs.String("node-id", "", "cluster: this node's ID (must appear in -peers)")
@@ -106,7 +103,7 @@ func run(args []string) error {
 	case "classless-per-user":
 		m = core.ModeClasslessPerUser
 	default:
-		log.Printf("unknown -mode %q, using class-based", *mode)
+		return fmt.Errorf("unknown -mode %q (want class-based, classless or classless-per-user)", *mode)
 	}
 
 	budget, err := parseBytes(*memBudget)
@@ -170,11 +167,9 @@ func run(args []string) error {
 			VersionStride: versionStride,
 			VersionOffset: versionOffset,
 		},
-		Anon:              anonymize.Config{M: *anonM, N: *anonN},
-		MaxDeltaRatio:     *maxDeltaRatio,
-		DeltaCacheOff:     !*deltaCache,
-		DeltaCacheEntries: *deltaCacheEntries,
-		GraphDepth:        *graphDepth,
+		Anon:          anonymize.Config{M: *anonM, N: *anonN},
+		MaxDeltaRatio: *maxDeltaRatio,
+		GraphDepth:    *graphDepth,
 	})
 	if err != nil {
 		return err

@@ -25,6 +25,11 @@ func TestBadFlags(t *testing.T) {
 	if err := run([]string{"-state", "/tmp/x.json"}); err == nil {
 		t.Error("expected -state to be rejected")
 	}
+	// A -mode typo is an error, not a class-based server; it fails before
+	// anything listens.
+	if err := run([]string{"-mode", "classles", "-addr", "127.0.0.1:0"}); err == nil || !strings.Contains(err.Error(), "classles") {
+		t.Errorf("run with -mode classles = %v, want an unknown-mode error", err)
+	}
 }
 
 // TestSigtermDrainsThenCheckpoints runs the real server loop: SIGTERM must

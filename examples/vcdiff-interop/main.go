@@ -87,8 +87,7 @@ func run() error {
 	req.Header.Set(deltahttp.HeaderCapable, "1")
 	req.Header.Set(deltahttp.HeaderUser, "standards-fan")
 	req.Header.Set(deltahttp.HeaderAccept, deltahttp.EncodingVCDIFF)
-	req.Header.Set(deltahttp.HeaderHaveClass, classID)
-	req.Header.Set(deltahttp.HeaderHaveVersion, strconv.Itoa(version))
+	req.Header.Set(deltahttp.HeaderHave, deltahttp.FormatHave([]deltahttp.Held{{ClassID: classID, Version: version}}))
 	resp, err = http.DefaultClient.Do(req)
 	if err != nil {
 		return err

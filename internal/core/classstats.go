@@ -81,20 +81,20 @@ func (s ClassStats) Savings() float64 {
 
 // classStats builds the stats row for one class. Takes cs.mu briefly.
 func (e *Engine) classStats(cs *classState, now time.Time) ClassStats {
-	var served reasonCounts
-	served.add(cs)
+	var sum cellSums
+	sum.add(cs)
 	st := ClassStats{
 		ID:          cs.id,
-		Requests:    cs.ctr.requests.Value(),
-		DeltaHits:   served.deltas(),
-		DeltaMisses: served.fulls(),
+		Requests:    sum.served.total(),
+		DeltaHits:   sum.served.deltas(),
+		DeltaMisses: sum.served.fulls(),
 
-		BytesIn:      cs.ctr.bytesIn.Value(),
-		BytesShipped: cs.ctr.bytesShipped.Value(),
+		BytesIn:      sum.bytesIn,
+		BytesShipped: sum.shipped.total(),
 
-		GraphDirect:   served[ReasonDirect],
-		GraphComposed: served[ReasonChain],
-		GraphFallback: served[ReasonVersionAgedOut],
+		GraphDirect:   sum.served[ReasonDirect],
+		GraphComposed: sum.served[ReasonChain],
+		GraphFallback: sum.served[ReasonVersionAgedOut],
 	}
 	st.ResidentBytes = cs.res.Total()
 	st.Spilled = cs.spilled.Load()
@@ -149,16 +149,11 @@ func (e *Engine) AllClassStats() []ClassStats {
 }
 
 // collect contributes the computed metric series — values derived from live
-// engine state rather than accumulated counters — to every exposition
-// scrape: global bytes saved, class count and responses by reason, plus
-// per-class delta hits and misses, base version/age and anonymization
-// progress.
+// engine state and the classes' request cells — to every exposition scrape:
+// global bytes saved, class count and responses by reason, plus per-class
+// requests, bytes in and shipped, delta hits and misses, base version/age
+// and anonymization progress.
 func (e *Engine) collect(c *metrics.Collection) {
-	saved := e.ctr.bytesDirect.Value() - e.ctr.bytesDelta.Value() - e.ctr.bytesFull.Value()
-	c.Counter("cbde_bytes_saved_total",
-		"Client-facing bytes saved versus serving every document in full.",
-		nil, float64(saved))
-
 	st := e.cstore.Stats()
 	for _, kind := range []struct {
 		name  string
@@ -243,11 +238,20 @@ func (e *Engine) collect(c *metrics.Collection) {
 	states := e.states()
 	c.Gauge("cbde_classes", "Classes currently tracked by the engine.",
 		nil, float64(len(states)))
-	var served reasonCounts
+	var sum cellSums
 	for _, cs := range states {
-		served.add(cs)
+		sum.add(cs)
 		st := e.classStats(cs, now)
 		label := []metrics.Label{{Name: "class", Value: st.ID}}
+		c.Counter("cbde_class_requests_total",
+			"Requests routed to the class.",
+			label, float64(st.Requests))
+		c.Counter("cbde_class_bytes_in_total",
+			"Document bytes fetched from the origin for the class.",
+			label, float64(st.BytesIn))
+		c.Counter("cbde_class_bytes_shipped_total",
+			"Payload bytes shipped to clients for the class.",
+			label, float64(st.BytesShipped))
 		c.Counter("cbde_class_delta_hits_total",
 			"Delta responses served for the class.",
 			label, float64(st.DeltaHits))
@@ -274,6 +278,9 @@ func (e *Engine) collect(c *metrics.Collection) {
 		c.Counter("cbde_responses_total",
 			"Responses by kind and reason; the full ones are P_error broken down by cause.",
 			[]metrics.Label{{Name: "kind", Value: kind.String()}, {Name: "reason", Value: r.String()}},
-			float64(served[r]))
+			float64(sum.served[r]))
 	}
+	c.Counter("cbde_bytes_saved_total",
+		"Client-facing bytes saved versus serving every document in full.",
+		nil, float64(sum.bytesIn-sum.shipped.total()))
 }

@@ -127,13 +127,11 @@ type Config struct {
 	DiskBudget int64
 	// DeltaCacheOff disables delta memoization. By default the engine
 	// memoizes each encoded (class, fromVersion, document, format) delta
-	// with singleflight coalescing (internal/deltacache), so repeated and
-	// concurrent requests for the same delta share one encode and one
-	// immutable payload. Cached bytes are charged to the store ledger and
-	// reclaimed by budget maintenance.
+	// with singleflight coalescing (internal/deltacache), up to 256 per
+	// class, so repeated and concurrent requests for the same delta share
+	// one encode and one immutable payload. Cached bytes are charged to the
+	// store ledger and reclaimed by budget maintenance.
 	DeltaCacheOff bool
-	// DeltaCacheEntries caps memoized deltas per class. Default 256.
-	DeltaCacheEntries int
 	// Tracing starts the engine with pipeline span tracing enabled (see
 	// internal/obs). Default off; flip at runtime with SetTracing. Disabled
 	// tracing costs one atomic load per request and zero allocations.
@@ -506,16 +504,15 @@ type classState struct {
 	res  store.Accountant
 	acct *store.Accountant // the engine's global ledger
 
-	// ctr are the class's per-class serving counters, resolved from the
-	// engine's labeled metric families once at creation so the request hot
-	// path only touches atomics.
-	ctr classCounters
-
-	// served counts the class's responses by Reason; settle adds exactly
-	// one per response. Every response count the engine reports — Stats,
-	// GraphStats, ClassStats, cbde_responses_total — is a sum over these
-	// cells, which is exact because a class never leaves the store.
-	served [numReasons]atomic.Int64
+	// The class's request cells, written only by settle, once per routed
+	// request: served counts responses by Reason, shipped the bytes each
+	// put on the wire, bytesIn the documents' bytes. Every request, response
+	// and byte count the engine reports — Stats, GraphStats, ClassStats, the
+	// cbde_class_*, cbde_responses_total and cbde_bytes_saved_total series —
+	// is a sum over them, exact because a class never leaves the store.
+	served  [numReasons]atomic.Int64
+	shipped [numReasons]atomic.Int64
+	bytesIn atomic.Int64
 }
 
 var _ store.Entry = (*classState)(nil)
@@ -638,23 +635,11 @@ func (cs *classState) Evict() int64 {
 	return 0
 }
 
-// classCounters is the per-class stats table's accumulating half; the
-// computed half (base version/age, anonymization progress) is read live by
-// ClassStats and the exposition collector.
-type classCounters struct {
-	requests     *metrics.Counter
-	bytesIn      *metrics.Counter // document bytes entering from the origin
-	bytesShipped *metrics.Counter // payload bytes leaving to clients
-}
-
-// hotCounters are the engine's per-request counters, resolved once at
+// hotCounters are the engine's event counters, resolved once at
 // construction so the request path never takes the registry's name-lookup
-// lock. Responses are counted by reason in the classes' served cells.
+// lock. Requests, responses and their bytes are not events here: settle
+// counts them in the classes' request cells.
 type hotCounters struct {
-	requests       *metrics.Counter
-	bytesDirect    *metrics.Counter
-	bytesDelta     *metrics.Counter
-	bytesFull      *metrics.Counter
 	classesCreated *metrics.Counter
 	classifyProbes *metrics.Counter
 	rebaseGroup    *metrics.Counter
@@ -686,11 +671,10 @@ type Engine struct {
 	// Safe for concurrent use; its per-call state is pooled.
 	estimator *vdelta.Estimator
 
-	// cstore owns the class table (internal/store): an unbudgeted sharded
-	// map, or — with Config.MemBudget — a budgeted store that prunes and
-	// evicts classes when resident bytes exceed the budget. acct is its
-	// byte ledger.
-	cstore store.ClassStore
+	// cstore owns the class table (internal/store); with Config.MemBudget
+	// it prunes and evicts classes when resident bytes exceed the budget.
+	// acct is its byte ledger.
+	cstore *store.Table
 	acct   *store.Accountant
 
 	// spill is the disk tier (Config.SpillDir); nil when disabled. The
@@ -723,13 +707,10 @@ type Engine struct {
 	stageHist [obs.NumStages]*metrics.Histogram
 	procHist  *metrics.Histogram
 	chainHist *metrics.Histogram // segments per composed-chain response
-
-	// Per-class labeled metric families; each classState resolves its
-	// children once at creation.
-	famClassRequests *metrics.CounterFamily
-	famClassBytesIn  *metrics.CounterFamily
-	famClassShipped  *metrics.CounterFamily
 }
+
+// memoEntries caps memoized deltas per class.
+const memoEntries = 256
 
 // encodeBuf is the pooled per-request encode scratch. The uncompressed
 // delta is built in buf and either gzipped into the response payload or
@@ -754,11 +735,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 		estimator: vdelta.NewEstimator(),
 		reg:       metrics.NewRegistry(),
 	}
-	if cfg.MemBudget > 0 {
-		e.cstore = store.NewBudgeted(cfg.MemBudget, cfg.Now)
-	} else {
-		e.cstore = store.NewMap()
-	}
+	e.cstore = store.NewTable(cfg.MemBudget, cfg.Now)
 	e.acct = e.cstore.Accountant()
 	if cfg.SpillDir != "" {
 		tier, err := store.OpenTier(store.TierConfig{Dir: cfg.SpillDir, MaxBytes: cfg.DiskBudget})
@@ -768,10 +745,6 @@ func NewEngine(cfg Config) (*Engine, error) {
 		e.spill = tier
 	}
 	e.ctr = hotCounters{
-		requests:       e.reg.Counter("requests"),
-		bytesDirect:    e.reg.Counter("bytes.direct"),
-		bytesDelta:     e.reg.Counter("bytes.delta"),
-		bytesFull:      e.reg.Counter("bytes.full"),
 		classesCreated: e.reg.Counter("classes.created"),
 		classifyProbes: e.reg.Counter("classify.probes"),
 		rebaseGroup:    e.reg.Counter("rebase.group"),
@@ -818,13 +791,6 @@ func NewEngine(cfg Config) (*Engine, error) {
 	// Chain length is segments per composed response: the client's lag in
 	// versions plus the tip delta. Buckets track the plausible graph depths.
 	e.chainHist = e.reg.Histogram("cbde_graph_chain_length", 1, 2, 3, 4, 6, 8, 12, 16)
-
-	e.famClassRequests = e.reg.CounterFamily("cbde_class_requests_total",
-		"Requests routed to the class.", "class")
-	e.famClassBytesIn = e.reg.CounterFamily("cbde_class_bytes_in_total",
-		"Document bytes fetched from the origin for the class.", "class")
-	e.famClassShipped = e.reg.CounterFamily("cbde_class_bytes_shipped_total",
-		"Payload bytes shipped to clients for the class.", "class")
 	e.reg.RegisterCollector(e.collect)
 
 	e.tracer = obs.New(nil)
@@ -841,9 +807,9 @@ func (e *Engine) SetTracing(enabled bool) { e.tracer.SetEnabled(enabled) }
 // TracingEnabled reports whether pipeline span tracing is on.
 func (e *Engine) TracingEnabled() bool { return e.tracer.Enabled() }
 
-// newClassState builds a classState wired to the engine's store ledger and
-// labeled metric families. Only the store's GetOrCreate calls it, so it
-// runs exactly once per class key.
+// newClassState builds a classState wired to the engine's store ledger.
+// Only the store's GetOrCreate calls it, so it runs exactly once per class
+// key.
 func (e *Engine) newClassState(key string, class *classify.Class) *classState {
 	cs := &classState{
 		id:    key,
@@ -852,11 +818,6 @@ func (e *Engine) newClassState(key string, class *classify.Class) *classState {
 		spill: e.spill,
 		bases: make(map[int]*baseVersion),
 		edges: make(map[int]*versionEdge),
-		ctr: classCounters{
-			requests:     e.famClassRequests.With(key),
-			bytesIn:      e.famClassBytesIn.With(key),
-			bytesShipped: e.famClassShipped.With(key),
-		},
 	}
 	// The selector reports every resident-byte change of its working base
 	// and sample stores; the callback runs under the selector's lock and
@@ -880,7 +841,7 @@ func (e *Engine) newClassState(key string, class *classify.Class) *classState {
 	if !e.cfg.DeltaCacheOff {
 		// Retained payload bytes flow into the same dual ledger as base and
 		// candidate bytes, so the budget governor sees and reclaims them.
-		cs.deltas = deltacache.New(e.cfg.DeltaCacheEntries, cs.addDelta)
+		cs.deltas = deltacache.New(memoEntries, cs.addDelta)
 	}
 	return cs
 }
@@ -921,8 +882,8 @@ func (e *Engine) states() []*classState {
 // encode → settle (DESIGN.md §8). Observe and snapshot are one short
 // mutation phase under the class write lock; decide is a pure function of
 // the snapshot returning the response's Reason; the encode runs unlocked
-// and can only demote a delta plan to a full; settle counts the response
-// in exactly one reason cell. Concurrent requests to the same class
+// and can only demote a delta plan to a full; settle counts the request
+// in its class's cells. Concurrent requests to the same class
 // therefore overlap on the expensive part — the 6-8 ms/delta encode that
 // bounds the capacity experiment of Section VI-C.
 func (e *Engine) Process(req Request) (Response, error) {
@@ -955,12 +916,6 @@ func (e *Engine) Process(req Request) (Response, error) {
 			tr.Record(obs.StageFaultIn, t0, n)
 		}
 	}
-	// Accounting happens only after routing succeeds: an unroutable request
-	// produces no response and must not inflate the capacity counters.
-	e.ctr.requests.Inc()
-	e.ctr.bytesDirect.Add(int64(len(req.Doc)))
-	cs.ctr.requests.Inc()
-	cs.ctr.bytesIn.Add(int64(len(req.Doc)))
 
 	// Observe: feed the document to the selector (Section IV) and drive the
 	// anonymization pipeline (Section V); then snapshot what decide and the
@@ -1239,11 +1194,11 @@ func (e *Engine) LatestBase(classID string) ([]byte, int, bool) {
 }
 
 // Stats is a snapshot of the engine's behaviour, the raw material for the
-// paper's tables.
+// paper's tables. Requests, responses and bytes sum the classes' request
+// cells.
 type Stats struct {
-	Mode     Mode
-	Requests int64
-	// FullResponses and DeltaResponses sum the classes' reason cells.
+	Mode           Mode
+	Requests       int64
 	FullResponses  int64
 	DeltaResponses int64
 
@@ -1279,9 +1234,9 @@ func (e *Engine) Stats() Stats {
 	states := e.states()
 
 	var storage int64
-	var served reasonCounts
+	var sum cellSums
 	for _, cs := range states {
-		served.add(cs)
+		sum.add(cs)
 		cs.mu.RLock()
 		for _, bv := range cs.bases {
 			storage += int64(len(bv.bytes))
@@ -1293,12 +1248,12 @@ func (e *Engine) Stats() Stats {
 
 	return Stats{
 		Mode:           e.cfg.Mode,
-		Requests:       e.ctr.requests.Value(),
-		FullResponses:  served.fulls(),
-		DeltaResponses: served.deltas(),
-		BytesDirect:    e.ctr.bytesDirect.Value(),
-		BytesDelta:     e.ctr.bytesDelta.Value(),
-		BytesFull:      e.ctr.bytesFull.Value(),
+		Requests:       sum.served.total(),
+		FullResponses:  sum.served.fulls(),
+		DeltaResponses: sum.served.deltas(),
+		BytesDirect:    sum.bytesIn,
+		BytesDelta:     sum.shipped.deltas(),
+		BytesFull:      sum.shipped.fulls(),
 		Classes:        len(states),
 		GroupRebases:   e.ctr.rebaseGroup.Value(),
 		BasicRebases:   e.ctr.rebaseBasic.Value(),

@@ -149,8 +149,12 @@ func TestMetricsExposed(t *testing.T) {
 	if snap == "" {
 		t.Error("empty metrics snapshot")
 	}
-	if got := e.Metrics().Counter("requests").Value(); got != 4 {
-		t.Errorf("requests counter = %d, want 4", got)
+	var requests float64
+	for _, n := range exposed(t, e, "cbde_class_requests_total") {
+		requests += n
+	}
+	if requests != 4 {
+		t.Errorf("cbde_class_requests_total sums to %v, want 4", requests)
 	}
 }
 
@@ -202,10 +206,8 @@ func TestAnonymizationRestartsOnMidFlightRebase(t *testing.T) {
 	}
 }
 
-// TestRouteErrorSkipsAccounting is the regression test for a seed-era
-// ordering hazard: the requests/bytes.direct counters were bumped before
-// routing could fail, so unroutable requests inflated the capacity
-// numbers. Accounting must only happen for requests that get a response.
+// TestRouteErrorSkipsAccounting: an unroutable request gets no response,
+// so it must not inflate the capacity numbers.
 func TestRouteErrorSkipsAccounting(t *testing.T) {
 	e := newTestEngine(t, Config{})
 	if _, err := e.Process(Request{URL: "://bad", UserID: "u", Doc: []byte("doc")}); err == nil {

@@ -103,15 +103,15 @@ type GraphStats struct {
 // GraphStats snapshots the version graph across all classes.
 func (e *Engine) GraphStats() GraphStats {
 	st := GraphStats{Depth: e.cfg.GraphDepth}
-	var served reasonCounts
+	var sum cellSums
 	for _, cs := range e.states() {
-		served.add(cs)
+		sum.add(cs)
 		cs.mu.RLock()
 		st.Edges += len(cs.edges)
 		cs.mu.RUnlock()
 	}
-	st.Direct, st.Composed = served[ReasonDirect], served[ReasonChain]
-	st.FallbackFull = served[ReasonVersionAgedOut]
+	st.Direct, st.Composed = sum.served[ReasonDirect], sum.served[ReasonChain]
+	st.FallbackFull = sum.served[ReasonVersionAgedOut]
 	st.EdgeBytes = e.acct.Usage().EdgeBytes
 	return st
 }

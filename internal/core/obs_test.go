@@ -299,8 +299,6 @@ func TestEngineExpositionSeries(t *testing.T) {
 		"cbde_process_duration_seconds_bucket",
 		"cbde_encode_target_bytes_total",
 		"cbde_encode_replayed_bytes_total",
-		"requests", // legacy plain counters stay exposed
-		"bytes_direct",
 	} {
 		if !exp.Series(series) {
 			t.Errorf("exposition missing series %s", series)

@@ -4,12 +4,14 @@ import (
 	"fmt"
 	"hash/maphash"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
 	"cbde/internal/anonymize"
 	"cbde/internal/basefile"
 	"cbde/internal/deltacache"
+	"cbde/internal/metrics"
 )
 
 // TestDecideTable pins decide's closed mapping from snapshot to plan or
@@ -89,11 +91,33 @@ func processReason(t *testing.T, e *Engine, req Request) Response {
 
 // reasonTotals sums every class's reason cells.
 func (e *Engine) reasonTotals() reasonCounts {
-	var c reasonCounts
+	var sum cellSums
 	for _, cs := range e.states() {
-		c.add(cs)
+		sum.add(cs)
 	}
-	return c
+	return sum.served
+}
+
+// exposed parses the engine's exposition and returns the samples of the
+// named series by class label ("" for an unlabelled series).
+func exposed(t *testing.T, e *Engine, name string) map[string]float64 {
+	t.Helper()
+	var b strings.Builder
+	if err := e.Metrics().Expose(&b); err != nil {
+		t.Fatal(err)
+	}
+	exp, err := metrics.ParseExposition(strings.NewReader(b.String()))
+	if err != nil {
+		t.Fatalf("exposition does not parse: %v", err)
+	}
+	out := make(map[string]float64)
+	for _, s := range exp.Samples {
+		if s.Name == name {
+			class, _ := s.Label("class")
+			out[class] = s.Value
+		}
+	}
+	return out
 }
 
 func wantReason(t *testing.T, resp Response, want Reason) {
@@ -194,13 +218,14 @@ func TestProcessReachesEveryFullReason(t *testing.T) {
 // TestReasonCellsMatchResponses is the accounting invariant under mixed
 // concurrent traffic — budget, spill tier, graph depth 4, anonymization,
 // 8 clients that refresh their bases lazily so they lag, plus forced
-// evictions: per class and engine-wide the reason cells sum to the
-// requests served, and Stats, GraphStats and ClassStats agree with an
-// independent tally of the returned responses.
+// evictions: per class and engine-wide, the request cells, Stats,
+// GraphStats, ClassStats and the exposition's per-class series agree with
+// an independent tally of the calls issued, their document bytes and the
+// responses returned with their wire bytes.
 func TestReasonCellsMatchResponses(t *testing.T) {
 	const (
 		goroutines = 8
-		requests   = 60
+		perClient  = 60
 	)
 	e := newTestEngine(t, Config{
 		Anon:          anonymize.Config{M: 1, N: 2},
@@ -213,7 +238,10 @@ func TestReasonCellsMatchResponses(t *testing.T) {
 	defer e.Close()
 	depts := []string{"laptops", "desktops", "phones"}
 
-	type tally struct{ reasons reasonCounts }
+	type tally struct {
+		calls, docBytes int64
+		reasons, wire   reasonCounts // responses and their wire bytes, by reason
+	}
 	var mu sync.Mutex
 	byClass := make(map[string]*tally)
 	var wg sync.WaitGroup
@@ -223,7 +251,7 @@ func TestReasonCellsMatchResponses(t *testing.T) {
 			defer wg.Done()
 			user := fmt.Sprintf("user-%d", g)
 			held := make(map[string]int)
-			for i := 0; i < requests; i++ {
+			for i := 0; i < perClient; i++ {
 				dept := depts[(g+i)%len(depts)]
 				item := i % 3
 				req := Request{URL: fmt.Sprintf("www.shop.com/%s/%d", dept, item), UserID: user, Doc: renderDoc(dept, item, i/4, user)}
@@ -244,7 +272,10 @@ func TestReasonCellsMatchResponses(t *testing.T) {
 					tl = &tally{}
 					byClass[resp.ClassID] = tl
 				}
+				tl.calls++
+				tl.docBytes += int64(len(req.Doc))
 				tl.reasons[resp.Reason]++
+				tl.wire[resp.Reason] += int64(resp.WireSize(len(req.Doc)))
 				mu.Unlock()
 				// Refresh lazily so clients fall behind, then catch up.
 				if v := resp.LatestVersion; v > held[resp.ClassID] && (held[resp.ClassID] == 0 || i%5 == 0) {
@@ -259,23 +290,38 @@ func TestReasonCellsMatchResponses(t *testing.T) {
 	wg.Wait()
 	e.Quiesce()
 
-	var all reasonCounts
+	requests := exposed(t, e, "cbde_class_requests_total")
+	bytesIn := exposed(t, e, "cbde_class_bytes_in_total")
+	shipped := exposed(t, e, "cbde_class_bytes_shipped_total")
+	if len(requests) != len(byClass) || len(bytesIn) != len(byClass) || len(shipped) != len(byClass) {
+		t.Errorf("exposition has %d/%d/%d classes, responses name %d", len(requests), len(bytesIn), len(shipped), len(byClass))
+	}
+	var all, allWire reasonCounts
+	var calls, docBytes int64
 	for id, tl := range byClass {
-		for r, n := range tl.reasons {
-			all[r] += n
+		for r := range tl.reasons {
+			all[r] += tl.reasons[r]
+			allWire[r] += tl.wire[r]
 		}
+		calls += tl.calls
+		docBytes += tl.docBytes
 		st, ok := e.ClassStats(id)
 		if !ok {
 			t.Fatalf("class %s missing", id)
 		}
 		cs, _ := e.lookup(id)
-		var cells reasonCounts
+		var cells cellSums
 		cells.add(cs)
-		if cells != tl.reasons {
-			t.Errorf("class %s: cells %v, responses %v", id, cells, tl.reasons)
+		if cells.served != tl.reasons || cells.shipped != tl.wire || cells.bytesIn != tl.docBytes {
+			t.Errorf("class %s: cells %+v, tally %+v", id, cells, *tl)
 		}
-		if st.Requests != tl.reasons.deltas()+tl.reasons.fulls() {
-			t.Errorf("class %s: %d requests, %d responses", id, st.Requests, tl.reasons.deltas()+tl.reasons.fulls())
+		if st.Requests != tl.calls || st.BytesIn != tl.docBytes || st.BytesShipped != tl.wire.total() {
+			t.Errorf("class %s: stats %d requests, %d bytes in, %d shipped; tally %d, %d, %d",
+				id, st.Requests, st.BytesIn, st.BytesShipped, tl.calls, tl.docBytes, tl.wire.total())
+		}
+		if requests[id] != float64(tl.calls) || bytesIn[id] != float64(tl.docBytes) || shipped[id] != float64(tl.wire.total()) {
+			t.Errorf("class %s: exposition %v requests, %v bytes in, %v shipped; tally %d, %d, %d",
+				id, requests[id], bytesIn[id], shipped[id], tl.calls, tl.docBytes, tl.wire.total())
 		}
 		if st.DeltaHits != tl.reasons.deltas() || st.DeltaMisses != tl.reasons.fulls() ||
 			st.GraphDirect != tl.reasons[ReasonDirect] || st.GraphComposed != tl.reasons[ReasonChain] ||
@@ -287,9 +333,16 @@ func TestReasonCellsMatchResponses(t *testing.T) {
 		t.Errorf("engine cells %v, responses %v", got, all)
 	}
 	st := e.Stats()
-	if st.Requests != goroutines*requests || st.DeltaResponses != all.deltas() || st.FullResponses != all.fulls() {
-		t.Errorf("Stats: %d requests, %d delta, %d full; responses %d delta, %d full of %d",
-			st.Requests, st.DeltaResponses, st.FullResponses, all.deltas(), all.fulls(), goroutines*requests)
+	if calls != goroutines*perClient || st.Requests != calls || st.DeltaResponses != all.deltas() || st.FullResponses != all.fulls() {
+		t.Errorf("Stats: %d requests, %d delta, %d full; %d calls, responses %d delta, %d full",
+			st.Requests, st.DeltaResponses, st.FullResponses, calls, all.deltas(), all.fulls())
+	}
+	if st.BytesDirect != docBytes || st.BytesDelta != allWire.deltas() || st.BytesFull != allWire.fulls() {
+		t.Errorf("Stats bytes: direct %d, delta %d, full %d; tally %d, %d, %d",
+			st.BytesDirect, st.BytesDelta, st.BytesFull, docBytes, allWire.deltas(), allWire.fulls())
+	}
+	if saved := exposed(t, e, "cbde_bytes_saved_total")[""]; saved != float64(docBytes-allWire.total()) {
+		t.Errorf("cbde_bytes_saved_total %v, tally %d", saved, docBytes-allWire.total())
 	}
 	gs := e.GraphStats()
 	if gs.Direct != all[ReasonDirect] || gs.Composed != all[ReasonChain] || gs.FallbackFull != all[ReasonVersionAgedOut] {

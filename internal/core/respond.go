@@ -366,17 +366,14 @@ func (e *Engine) basicRebase(cs *classState, snap encodeSnapshot, req Request, n
 	return resp
 }
 
-// settle counts one response: exactly one of the class's reason cells, the
-// bytes it put on the wire, and a chain's length.
+// settle is the only place a request is counted: one response in its
+// reason's cell, the bytes it put on the wire in the same reason's shipped
+// cell, and the document's bytes in bytesIn — all three in the request's
+// class. A chain's length also feeds the chain histogram.
 func (e *Engine) settle(cs *classState, req Request, resp Response, now time.Time) {
 	cs.served[resp.Reason].Add(1)
-	wire := int64(resp.WireSize(len(req.Doc)))
-	cs.ctr.bytesShipped.Add(wire)
-	if resp.Kind == KindDelta {
-		e.ctr.bytesDelta.Add(wire)
-	} else {
-		e.ctr.bytesFull.Add(wire)
-	}
+	cs.shipped[resp.Reason].Add(int64(resp.WireSize(len(req.Doc))))
+	cs.bytesIn.Add(int64(len(req.Doc)))
 	if resp.Reason == ReasonChain {
 		if id := req.TraceCtx.ID; !id.IsZero() {
 			e.chainHist.ObserveExemplar(float64(resp.ChainLen), id.Hi, id.Lo, now.Unix())
@@ -386,25 +383,33 @@ func (e *Engine) settle(cs *classState, req Request, resp Response, now time.Tim
 	}
 }
 
-// reasonCounts tallies responses by Reason.
+// reasonCounts tallies responses, or their wire bytes, by Reason.
 type reasonCounts [numReasons]int64
 
-// add adds the class's reason cells.
-func (c *reasonCounts) add(cs *classState) {
-	for r := range cs.served {
-		c[r] += cs.served[r].Load()
-	}
-}
-
-// deltas and fulls sum the delta and the full reasons.
-func (c *reasonCounts) deltas() int64 { return c[ReasonDirect] + c[ReasonChain] }
-
-func (c *reasonCounts) fulls() int64 {
+// total sums every reason; deltas and fulls sum the delta and the full ones.
+func (c *reasonCounts) total() int64 {
 	var n int64
-	for r := ReasonDirect; r < numReasons; r++ {
-		if !r.delta() {
-			n += c[r]
-		}
+	for _, v := range c {
+		n += v
 	}
 	return n
+}
+
+func (c *reasonCounts) deltas() int64 { return c[ReasonDirect] + c[ReasonChain] }
+
+func (c *reasonCounts) fulls() int64 { return c.total() - c.deltas() }
+
+// cellSums sums classes' request cells.
+type cellSums struct {
+	served, shipped reasonCounts
+	bytesIn         int64
+}
+
+// add adds the class's cells.
+func (s *cellSums) add(cs *classState) {
+	for r := range cs.served {
+		s.served[r] += cs.served[r].Load()
+		s.shipped[r] += cs.shipped[r].Load()
+	}
+	s.bytesIn += cs.bytesIn.Load()
 }

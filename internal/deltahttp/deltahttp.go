@@ -19,10 +19,6 @@ import (
 const (
 	// HeaderCapable marks the client as delta-capable ("1").
 	HeaderCapable = "X-CBDE-Capable"
-	// HeaderHaveClass names the class whose base-file the client holds.
-	HeaderHaveClass = "X-CBDE-Have-Class"
-	// HeaderHaveVersion is the version of the held base-file.
-	HeaderHaveVersion = "X-CBDE-Have-Version"
 	// HeaderHave lists every base-file the client holds for this server,
 	// as comma-separated "<escaped-class>:<version>" pairs. A client
 	// cannot know which class an unseen URL belongs to, so it advertises

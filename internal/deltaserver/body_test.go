@@ -147,7 +147,7 @@ func TestResponsesStateTheirLength(t *testing.T) {
 	stated("base", resp, body)
 	resp, body = doGet(t, front.URL+"/laptops/1", map[string]string{
 		deltahttp.HeaderUser: "alice", deltahttp.HeaderCapable: "1",
-		deltahttp.HeaderHaveClass: classID, deltahttp.HeaderHaveVersion: strconv.Itoa(version),
+		deltahttp.HeaderHave: haveHeader(classID, version),
 	})
 	if resp.Header.Get(deltahttp.HeaderEncoding) == "" {
 		t.Fatal("expected a delta")

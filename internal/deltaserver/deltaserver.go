@@ -50,12 +50,6 @@ func WithPublicHost(host string) Option {
 	return func(s *Server) { s.publicHost = host }
 }
 
-// WithBaseMaxAge sets the Cache-Control max-age for distributed base-files.
-// Default one hour.
-func WithBaseMaxAge(d time.Duration) Option {
-	return func(s *Server) { s.baseMaxAge = d }
-}
-
 // WithHTTPClient replaces the HTTP client used to reach the origin.
 func WithHTTPClient(c *http.Client) Option {
 	return func(s *Server) { s.client = c }
@@ -104,13 +98,17 @@ func WithFlightRecorder(fr *flightrec.Recorder) Option {
 	return func(s *Server) { s.flight = fr }
 }
 
+// baseCacheControl lets proxy-caches keep a base-file version for an hour.
+// Versions are immutable, so the bound only limits how long a cache holds
+// one that the class has since pruned.
+const baseCacheControl = "public, max-age=3600"
+
 // Server is the delta-server: an http.Handler fronting one origin.
 type Server struct {
 	origin        *url.URL
 	engine        *core.Engine
 	client        *http.Client
 	publicHost    string
-	baseMaxAge    time.Duration
 	assignCookies bool
 	uidCounter    atomic.Uint64
 	log           *slog.Logger
@@ -133,12 +131,11 @@ func New(originURL string, engine *core.Engine, opts ...Option) (*Server, error)
 		return nil, fmt.Errorf("deltaserver: origin URL %q needs scheme and host", originURL)
 	}
 	s := &Server{
-		origin:     u,
-		engine:     engine,
-		client:     &http.Client{Timeout: 30 * time.Second},
-		baseMaxAge: time.Hour,
-		nodeID:     "local",
-		started:    time.Now(),
+		origin:  u,
+		engine:  engine,
+		client:  &http.Client{Timeout: 30 * time.Second},
+		nodeID:  "local",
+		started: time.Now(),
 	}
 	for _, opt := range opts {
 		opt(s)
@@ -236,7 +233,7 @@ func (s *Server) serveBase(w http.ResponseWriter, r *http.Request) {
 	}
 	h := w.Header()
 	h.Set("Content-Type", "application/octet-stream")
-	h.Set("Cache-Control", fmt.Sprintf("public, max-age=%d", int(s.baseMaxAge.Seconds())))
+	h.Set("Cache-Control", baseCacheControl)
 	h.Set(deltahttp.HeaderClass, classID)
 	h.Set(deltahttp.HeaderBaseVersion, strconv.Itoa(version))
 	writeBody(w, base)
@@ -690,10 +687,6 @@ func (s *Server) serveDocumentLocal(w http.ResponseWriter, r *http.Request, rec 
 	if r.Header.Get(deltahttp.HeaderCapable) != "" {
 		if rec != nil {
 			rec.capable = true
-		}
-		req.HaveClassID = r.Header.Get(deltahttp.HeaderHaveClass)
-		if v, err := strconv.Atoi(r.Header.Get(deltahttp.HeaderHaveVersion)); err == nil {
-			req.HaveVersion = v
 		}
 		for _, h := range deltahttp.ParseHave(r.Header.Get(deltahttp.HeaderHave)) {
 			req.Held = append(req.Held, core.HeldBase{ClassID: h.ClassID, Version: h.Version})

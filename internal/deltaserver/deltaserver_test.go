@@ -56,6 +56,11 @@ func newStack(t *testing.T, cfg core.Config, opts ...Option) (*origin.Site, *Ser
 	return site, srv, front
 }
 
+// haveHeader is the X-CBDE-Have value advertising one held base-file.
+func haveHeader(classID string, version int) string {
+	return deltahttp.FormatHave([]deltahttp.Held{{ClassID: classID, Version: version}})
+}
+
 func doGet(t *testing.T, url string, hdr map[string]string) (*http.Response, []byte) {
 	t.Helper()
 	req, err := http.NewRequest(http.MethodGet, url, nil)
@@ -130,10 +135,9 @@ func TestDeltaFlowEndToEnd(t *testing.T) {
 
 	// Request with the held base: must get a delta that reconstructs.
 	resp, payload := doGet(t, front.URL+"/laptops/1", map[string]string{
-		deltahttp.HeaderCapable:     "1",
-		deltahttp.HeaderUser:        "delta-user",
-		deltahttp.HeaderHaveClass:   classID,
-		deltahttp.HeaderHaveVersion: strconv.Itoa(version),
+		deltahttp.HeaderCapable: "1",
+		deltahttp.HeaderUser:    "delta-user",
+		deltahttp.HeaderHave:    haveHeader(classID, version),
 	})
 	enc := resp.Header.Get(deltahttp.HeaderEncoding)
 	if enc != deltahttp.EncodingVdelta && enc != deltahttp.EncodingVdeltaGzip {
@@ -300,10 +304,9 @@ func TestStaleVersionServedFull(t *testing.T) {
 	_, _, front := newStack(t, core.Config{Anon: anonymize.Config{M: 1, N: 2}})
 	classID, _ := warm(t, front.URL, 4)
 	resp, _ := doGet(t, front.URL+"/laptops/1", map[string]string{
-		deltahttp.HeaderCapable:     "1",
-		deltahttp.HeaderUser:        "u",
-		deltahttp.HeaderHaveClass:   classID,
-		deltahttp.HeaderHaveVersion: "9999",
+		deltahttp.HeaderCapable: "1",
+		deltahttp.HeaderUser:    "u",
+		deltahttp.HeaderHave:    haveHeader(classID, 9999),
 	})
 	if resp.Header.Get(deltahttp.HeaderEncoding) != "" {
 		t.Error("stale client version answered with a delta")
@@ -357,42 +360,13 @@ func TestNonGETPassesThrough(t *testing.T) {
 
 func TestWithBaseMaxAge(t *testing.T) {
 	_, srv, front := newStack(t, core.Config{Anon: anonymize.Config{M: 1, N: 2}})
-	_ = srv
 	classID, version := warm(t, front.URL, 4)
 	resp, _ := doGet(t, front.URL+deltahttp.BasePath(classID, version), nil)
 	if cc := resp.Header.Get("Cache-Control"); !strings.Contains(cc, "max-age=3600") {
 		t.Errorf("default base max-age not 1h: %q", cc)
 	}
-}
-
-func TestBaseMaxAgeOption(t *testing.T) {
-	site := testSite()
-	originSrv := httptest.NewServer(site.Handler())
-	t.Cleanup(originSrv.Close)
-	base := time.Unix(2_000_000, 0)
-	n := 0
-	eng, err := core.NewEngine(core.Config{
-		Anon: anonymize.Config{M: 1, N: 2},
-		Now:  func() time.Time { n++; return base.Add(time.Duration(n) * time.Second) },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := New(originSrv.URL, eng,
-		WithPublicHost("www.shop.com"), WithBaseMaxAge(2*time.Minute))
-	if err != nil {
-		t.Fatal(err)
-	}
-	front := httptest.NewServer(srv)
-	t.Cleanup(front.Close)
-
-	classID, version := warm(t, front.URL, 4)
-	resp, _ := doGet(t, front.URL+deltahttp.BasePath(classID, version), nil)
-	if cc := resp.Header.Get("Cache-Control"); !strings.Contains(cc, "max-age=120") {
-		t.Errorf("Cache-Control = %q, want max-age=120", cc)
-	}
-	if srv.Engine() != eng {
-		t.Error("Engine() accessor broken")
+	if got := srv.Engine().Stats().Requests; got != 4 {
+		t.Errorf("Engine() accessor: %d requests, want the 4 warm-up requests", got)
 	}
 }
 
@@ -424,11 +398,10 @@ func TestVCDIFFNegotiation(t *testing.T) {
 		t.Fatal("base fetch failed")
 	}
 	resp, payload := doGet(t, front.URL+"/laptops/1", map[string]string{
-		deltahttp.HeaderCapable:     "1",
-		deltahttp.HeaderUser:        "std",
-		deltahttp.HeaderAccept:      deltahttp.EncodingVCDIFF,
-		deltahttp.HeaderHaveClass:   classID,
-		deltahttp.HeaderHaveVersion: strconv.Itoa(version),
+		deltahttp.HeaderCapable: "1",
+		deltahttp.HeaderUser:    "std",
+		deltahttp.HeaderAccept:  deltahttp.EncodingVCDIFF,
+		deltahttp.HeaderHave:    haveHeader(classID, version),
 	})
 	enc := resp.Header.Get(deltahttp.HeaderEncoding)
 	if enc != deltahttp.EncodingVCDIFF && enc != deltahttp.EncodingVCDIFFGzip {

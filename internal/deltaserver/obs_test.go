@@ -7,6 +7,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/url"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -20,21 +21,21 @@ import (
 // distributable base and serve at least one delta, returning the class ID.
 func warmStack(t *testing.T, front string) string {
 	t.Helper()
-	var classID, version string
+	var classID string
+	var version int
 	for u := 0; u < 5; u++ {
 		hdr := map[string]string{
 			deltahttp.HeaderCapable: "1",
 			deltahttp.HeaderUser:    fmt.Sprintf("user%d", u),
 		}
 		if classID != "" {
-			hdr[deltahttp.HeaderHaveClass] = classID
-			hdr[deltahttp.HeaderHaveVersion] = version
+			hdr[deltahttp.HeaderHave] = haveHeader(classID, version)
 		}
 		resp, _ := doGet(t, front+"/laptops/1", hdr)
 		if c := resp.Header.Get(deltahttp.HeaderClass); c != "" {
 			classID = c
 		}
-		if v := resp.Header.Get(deltahttp.HeaderLatestVersion); v != "" {
+		if v, err := strconv.Atoi(resp.Header.Get(deltahttp.HeaderLatestVersion)); err == nil {
 			version = v
 		}
 	}

@@ -124,12 +124,9 @@ func Capacity(requests int) (CapacityResult, error) {
 		return CapacityResult{}, err
 	}
 
-	// Warm: finish anonymization and learn the class/version per item.
-	type held struct {
-		class   string
-		version int
-	}
-	heldFor := make(map[int]held)
+	// Warm: finish anonymization and learn each item's class/version, kept
+	// as the X-CBDE-Have value the measured requests advertise.
+	haveFor := make(map[int]string)
 	for i := 0; i < 24; i++ {
 		item := i % 8
 		rec := httptest.NewRecorder()
@@ -139,11 +136,11 @@ func Capacity(requests int) (CapacityResult, error) {
 		ds.ServeHTTP(rec, req)
 		if cls := rec.Header().Get(deltahttp.HeaderClass); cls != "" {
 			if v, err := strconv.Atoi(rec.Header().Get(deltahttp.HeaderLatestVersion)); err == nil && v > 0 {
-				heldFor[item] = held{class: cls, version: v}
+				haveFor[item] = deltahttp.FormatHave([]deltahttp.Held{{ClassID: cls, Version: v}})
 			}
 		}
 	}
-	if len(heldFor) == 0 {
+	if len(haveFor) == 0 {
 		return CapacityResult{}, fmt.Errorf("experiments: capacity warmup produced no distributable bases")
 	}
 
@@ -154,9 +151,8 @@ func Capacity(requests int) (CapacityResult, error) {
 		req := httptest.NewRequest(http.MethodGet, fmt.Sprintf("/catalog/%d", item), nil)
 		req.Header.Set(deltahttp.HeaderCapable, "1")
 		req.Header.Set(deltahttp.HeaderUser, fmt.Sprintf("u%d", i%50))
-		if h, ok := heldFor[item]; ok {
-			req.Header.Set(deltahttp.HeaderHaveClass, h.class)
-			req.Header.Set(deltahttp.HeaderHaveVersion, strconv.Itoa(h.version))
+		if have, ok := haveFor[item]; ok {
+			req.Header.Set(deltahttp.HeaderHave, have)
 		}
 		ds.ServeHTTP(rec, req)
 	}

@@ -21,7 +21,7 @@ const ExpositionContentType = "text/plain; version=0.0.4; charset=utf-8"
 
 // SanitizeName maps an arbitrary metric name onto the exposition-format
 // charset [a-zA-Z_:][a-zA-Z0-9_:]*. Invalid runes become '_' (the registry's
-// legacy dotted names, e.g. "bytes.direct", become "bytes_direct"); a name
+// dotted names, e.g. "classify.probes", become "classify_probes"); a name
 // starting with a digit gains a '_' prefix.
 func SanitizeName(name string) string {
 	if name == "" {
@@ -131,10 +131,11 @@ func (c *Collection) Gauge(name, help string, labels []Label, value float64) {
 	c.samples = append(c.samples, collectedSample{name, help, "gauge", labels, value})
 }
 
-// Expose writes every metric in the registry — plain counters/gauges/
-// histograms, labeled families, and collector-contributed samples — as
-// Prometheus text exposition. Families are emitted in sorted name order and
-// children in sorted label order, so output is stable and diffable.
+// Expose writes every metric in the registry — plain counters and
+// histograms, labeled histogram families, and collector-contributed samples
+// — as Prometheus text exposition. Families are emitted in sorted name
+// order and children in sorted label order, so output is stable and
+// diffable.
 //
 // The registry does not police name collisions across metric kinds, but the
 // exposition format forbids one name carrying two TYPE declarations; use
@@ -144,10 +145,7 @@ func (r *Registry) Expose(w io.Writer) error {
 
 	r.mu.RLock()
 	counters := sortedKeys(r.counters)
-	gauges := sortedKeys(r.gauges)
 	histograms := sortedKeys(r.histograms)
-	counterFams := sortedKeys(r.counterFams)
-	gaugeFams := sortedKeys(r.gaugeFams)
 	histFams := sortedKeys(r.histFams)
 	collectors := make([]func(*Collection), len(r.collectors))
 	copy(collectors, r.collectors)
@@ -157,10 +155,6 @@ func (r *Registry) Expose(w io.Writer) error {
 		n := SanitizeName(name)
 		fmt.Fprintf(ew, "# TYPE %s counter\n%s %d\n", n, n, r.Counter(name).Value())
 	}
-	for _, name := range gauges {
-		n := SanitizeName(name)
-		fmt.Fprintf(ew, "# TYPE %s gauge\n%s %d\n", n, n, r.Gauge(name).Value())
-	}
 	for _, name := range histograms {
 		n := SanitizeName(name)
 		h := r.Histogram(name)
@@ -169,22 +163,6 @@ func (r *Registry) Expose(w io.Writer) error {
 		writeHistogramQuantiles(ew, n, nil, nil, h)
 	}
 
-	for _, name := range counterFams {
-		f := r.CounterFamily(name, "")
-		n := SanitizeName(f.name)
-		writeHeader(ew, n, f.help, "counter")
-		f.each(func(values []string, c *Counter) {
-			fmt.Fprintf(ew, "%s%s %d\n", n, formatLabels(f.labelNames, values), c.Value())
-		})
-	}
-	for _, name := range gaugeFams {
-		f := r.GaugeFamily(name, "")
-		n := SanitizeName(f.name)
-		writeHeader(ew, n, f.help, "gauge")
-		f.each(func(values []string, g *Gauge) {
-			fmt.Fprintf(ew, "%s%s %d\n", n, formatLabels(f.labelNames, values), g.Value())
-		})
-	}
 	for _, name := range histFams {
 		f := r.HistogramFamily(name, "", nil)
 		n := SanitizeName(f.name)

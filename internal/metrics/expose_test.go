@@ -26,7 +26,6 @@ func TestExposeBasicMetrics(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("requests").Add(7)
 	r.Counter("bytes.direct").Add(1234)
-	r.Gauge("classes").Set(3)
 	h := r.Histogram("latency", 0.01, 0.1, 1)
 	h.Observe(0.005)
 	h.Observe(0.05)
@@ -40,7 +39,6 @@ func TestExposeBasicMetrics(t *testing.T) {
 	for _, want := range []string{
 		"# TYPE requests counter\nrequests 7\n",
 		"# TYPE bytes_direct counter\nbytes_direct 1234\n",
-		"# TYPE classes gauge\nclasses 3\n",
 		"# TYPE latency histogram\n",
 		`latency_bucket{le="0.01"} 1`,
 		`latency_bucket{le="0.1"} 2`,
@@ -57,11 +55,11 @@ func TestExposeBasicMetrics(t *testing.T) {
 
 func TestExposeFamiliesAndEscaping(t *testing.T) {
 	r := NewRegistry()
-	f := r.CounterFamily("cbde_class_requests_total", "Requests per class.", "class")
-	f.With(`evil"class\with` + "\n" + `newline`).Add(2)
-	f.With("plain").Add(5)
-	g := r.GaugeFamily("cbde_class_base_version", "Current base version.", "class")
-	g.With("plain").Set(4)
+	r.RegisterCollector(func(c *Collection) {
+		c.Counter("cbde_class_requests_total", "Requests per class.", []Label{{"class", `evil"class\with` + "\n" + `newline`}}, 2)
+		c.Counter("cbde_class_requests_total", "", []Label{{"class", "plain"}}, 5)
+		c.Gauge("cbde_class_base_version", "Current base version.", []Label{{"class", "plain"}}, 4)
+	})
 	hf := r.HistogramFamily("cbde_stage_seconds", "Per-stage latency.", []string{"stage"}, 0.001, 0.01)
 	hf.With("encode").Observe(0.002)
 
@@ -120,11 +118,11 @@ func TestExposeCollectors(t *testing.T) {
 func TestExposeParsesRoundTrip(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("requests").Add(7)
-	r.Gauge("up").Set(1)
 	r.Histogram("latency", 0.01, 0.1).Observe(0.02)
-	r.CounterFamily("per_class_total", "per class", "class").With(`tricky"\` + "\n").Add(1)
 	r.HistogramFamily("stage_seconds", "stages", []string{"stage"}, 0.001).With("gzip").Observe(0.5)
 	r.RegisterCollector(func(c *Collection) {
+		c.Gauge("up", "", nil, 1)
+		c.Counter("per_class_total", "per class", []Label{{"class", `tricky"\` + "\n"}}, 1)
 		c.Gauge("derived", "derived value", []Label{{"k", "v"}}, math.Pi)
 	})
 

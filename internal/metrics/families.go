@@ -1,8 +1,8 @@
-// Labeled metric families: counters, gauges and histograms keyed by label
-// values, the shape the Prometheus exposition (expose.go) serves. Families
-// are deliberately minimal — label names are fixed at creation, children are
-// created on first use and never expire — because the delta-server's label
-// sets (pipeline stage, response kind, document class) are small and stable.
+// Labeled histogram families, keyed by label values, the shape the
+// Prometheus exposition (expose.go) serves. Families are deliberately
+// minimal — label names are fixed at creation, children are created on
+// first use and never expire — because their label set (pipeline stage) is
+// small and stable. Labeled counters and gauges are collector samples.
 package metrics
 
 import (
@@ -22,124 +22,6 @@ type Label struct {
 // depend on it (a collision only merges two children's accounting).
 func childKey(values []string) string {
 	return strings.Join(values, "\x1f")
-}
-
-// CounterFamily is a set of Counters distinguished by label values.
-// Create one with Registry.CounterFamily.
-type CounterFamily struct {
-	name       string
-	help       string
-	labelNames []string
-
-	mu       sync.RWMutex
-	children map[string]*counterChild
-}
-
-type counterChild struct {
-	labelValues []string
-	c           Counter
-}
-
-// With returns the counter for the given label values (one per label name,
-// in order), creating it on first use. Callers on a hot path should resolve
-// children once and retain the *Counter. With panics if the number of
-// values does not match the family's label names — that is a programming
-// error, not load-dependent input.
-func (f *CounterFamily) With(labelValues ...string) *Counter {
-	if len(labelValues) != len(f.labelNames) {
-		panic("metrics: CounterFamily " + f.name + ": wrong number of label values")
-	}
-	key := childKey(labelValues)
-	f.mu.RLock()
-	ch, ok := f.children[key]
-	f.mu.RUnlock()
-	if ok {
-		return &ch.c
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if ch, ok := f.children[key]; ok {
-		return &ch.c
-	}
-	ch = &counterChild{labelValues: append([]string(nil), labelValues...)}
-	f.children[key] = ch
-	return &ch.c
-}
-
-// Name returns the family's metric name.
-func (f *CounterFamily) Name() string { return f.name }
-
-// each calls fn for every child, sorted by label values for stable output.
-func (f *CounterFamily) each(fn func(labelValues []string, c *Counter)) {
-	f.mu.RLock()
-	children := make([]*counterChild, 0, len(f.children))
-	for _, ch := range f.children {
-		children = append(children, ch)
-	}
-	f.mu.RUnlock()
-	sort.Slice(children, func(i, j int) bool {
-		return childKey(children[i].labelValues) < childKey(children[j].labelValues)
-	})
-	for _, ch := range children {
-		fn(ch.labelValues, &ch.c)
-	}
-}
-
-// GaugeFamily is a set of Gauges distinguished by label values.
-// Create one with Registry.GaugeFamily.
-type GaugeFamily struct {
-	name       string
-	help       string
-	labelNames []string
-
-	mu       sync.RWMutex
-	children map[string]*gaugeChild
-}
-
-type gaugeChild struct {
-	labelValues []string
-	g           Gauge
-}
-
-// With returns the gauge for the given label values, creating it on first
-// use. Panics on a label-count mismatch.
-func (f *GaugeFamily) With(labelValues ...string) *Gauge {
-	if len(labelValues) != len(f.labelNames) {
-		panic("metrics: GaugeFamily " + f.name + ": wrong number of label values")
-	}
-	key := childKey(labelValues)
-	f.mu.RLock()
-	ch, ok := f.children[key]
-	f.mu.RUnlock()
-	if ok {
-		return &ch.g
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if ch, ok := f.children[key]; ok {
-		return &ch.g
-	}
-	ch = &gaugeChild{labelValues: append([]string(nil), labelValues...)}
-	f.children[key] = ch
-	return &ch.g
-}
-
-// Name returns the family's metric name.
-func (f *GaugeFamily) Name() string { return f.name }
-
-func (f *GaugeFamily) each(fn func(labelValues []string, g *Gauge)) {
-	f.mu.RLock()
-	children := make([]*gaugeChild, 0, len(f.children))
-	for _, ch := range f.children {
-		children = append(children, ch)
-	}
-	f.mu.RUnlock()
-	sort.Slice(children, func(i, j int) bool {
-		return childKey(children[i].labelValues) < childKey(children[j].labelValues)
-	})
-	for _, ch := range children {
-		fn(ch.labelValues, &ch.g)
-	}
 }
 
 // HistogramFamily is a set of Histograms sharing bucket bounds,
@@ -201,55 +83,6 @@ func (f *HistogramFamily) each(fn func(labelValues []string, h *Histogram)) {
 	for _, ch := range children {
 		fn(ch.labelValues, ch.h)
 	}
-}
-
-// CounterFamily returns the labeled counter family with the given name,
-// creating it on first use. help and labelNames are ignored for an existing
-// family.
-func (r *Registry) CounterFamily(name, help string, labelNames ...string) *CounterFamily {
-	r.mu.RLock()
-	f, ok := r.counterFams[name]
-	r.mu.RUnlock()
-	if ok {
-		return f
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if f, ok := r.counterFams[name]; ok {
-		return f
-	}
-	f = &CounterFamily{
-		name:       name,
-		help:       help,
-		labelNames: append([]string(nil), labelNames...),
-		children:   make(map[string]*counterChild),
-	}
-	r.counterFams[name] = f
-	return f
-}
-
-// GaugeFamily returns the labeled gauge family with the given name, creating
-// it on first use.
-func (r *Registry) GaugeFamily(name, help string, labelNames ...string) *GaugeFamily {
-	r.mu.RLock()
-	f, ok := r.gaugeFams[name]
-	r.mu.RUnlock()
-	if ok {
-		return f
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if f, ok := r.gaugeFams[name]; ok {
-		return f
-	}
-	f = &GaugeFamily{
-		name:       name,
-		help:       help,
-		labelNames: append([]string(nil), labelNames...),
-		children:   make(map[string]*gaugeChild),
-	}
-	r.gaugeFams[name] = f
-	return f
 }
 
 // HistogramFamily returns the labeled histogram family with the given name,

@@ -1,5 +1,8 @@
-// Package metrics provides small, dependency-free counters, gauges and
-// histograms used by the delta-server and the experiment harness.
+// Package metrics provides small, dependency-free counters and histograms
+// used by the delta-server and the experiment harness, and a Registry that
+// exposes them. State a component owns — per-class cells, cluster and
+// flight-recorder counters — stays in atomics on its owner and reaches the
+// exposition through a registered collector.
 //
 // All types are safe for concurrent use and have useful zero values where
 // possible; Registry must be created with NewRegistry.
@@ -35,20 +38,6 @@ func (c *Counter) Inc() { c.v.Add(1) }
 
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
-
-// Gauge is a value that can go up and down. The zero value is ready to use.
-type Gauge struct {
-	v atomic.Int64
-}
-
-// Set sets the gauge to v.
-func (g *Gauge) Set(v int64) { g.v.Store(v) }
-
-// Add adjusts the gauge by delta.
-func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
-
-// Value returns the current gauge value.
-func (g *Gauge) Value() int64 { return g.v.Load() }
 
 // Histogram accumulates observations into fixed buckets. Create one with
 // NewHistogram.
@@ -279,25 +268,19 @@ func (h *Histogram) Exemplars() []Exemplar {
 // Lookups of existing metrics (the overwhelmingly common case on a serving
 // hot path) take only a read lock; creation re-checks under the write lock.
 type Registry struct {
-	mu          sync.RWMutex
-	counters    map[string]*Counter
-	gauges      map[string]*Gauge
-	histograms  map[string]*Histogram
-	counterFams map[string]*CounterFamily
-	gaugeFams   map[string]*GaugeFamily
-	histFams    map[string]*HistogramFamily
-	collectors  []func(c *Collection)
+	mu         sync.RWMutex
+	counters   map[string]*Counter
+	histograms map[string]*Histogram
+	histFams   map[string]*HistogramFamily
+	collectors []func(c *Collection)
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		counters:    make(map[string]*Counter),
-		gauges:      make(map[string]*Gauge),
-		histograms:  make(map[string]*Histogram),
-		counterFams: make(map[string]*CounterFamily),
-		gaugeFams:   make(map[string]*GaugeFamily),
-		histFams:    make(map[string]*HistogramFamily),
+		counters:   make(map[string]*Counter),
+		histograms: make(map[string]*Histogram),
+		histFams:   make(map[string]*HistogramFamily),
 	}
 }
 
@@ -317,24 +300,6 @@ func (r *Registry) Counter(name string) *Counter {
 	c = &Counter{}
 	r.counters[name] = c
 	return c
-}
-
-// Gauge returns the gauge with the given name, creating it on first use.
-func (r *Registry) Gauge(name string) *Gauge {
-	r.mu.RLock()
-	g, ok := r.gauges[name]
-	r.mu.RUnlock()
-	if ok {
-		return g
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if g, ok := r.gauges[name]; ok {
-		return g
-	}
-	g = &Gauge{}
-	r.gauges[name] = g
-	return g
 }
 
 // Histogram returns the histogram with the given name, creating it with the
@@ -365,23 +330,10 @@ func (r *Registry) Snapshot() string {
 	for name, c := range r.counters {
 		lines = append(lines, fmt.Sprintf("counter %s %d", name, c.Value()))
 	}
-	for name, g := range r.gauges {
-		lines = append(lines, fmt.Sprintf("gauge %s %d", name, g.Value()))
-	}
 	for name, h := range r.histograms {
 		qs := h.Quantiles(0.5, 0.99)
 		lines = append(lines, fmt.Sprintf("histogram %s count=%d mean=%.3f min=%.3f max=%.3f p50=%.3f p99=%.3f",
 			name, h.Count(), h.Mean(), h.Min(), h.Max(), qs[0], qs[1]))
-	}
-	for name, f := range r.counterFams {
-		f.each(func(values []string, c *Counter) {
-			lines = append(lines, fmt.Sprintf("counter %s%s %d", name, formatLabels(f.labelNames, values), c.Value()))
-		})
-	}
-	for name, f := range r.gaugeFams {
-		f.each(func(values []string, g *Gauge) {
-			lines = append(lines, fmt.Sprintf("gauge %s%s %d", name, formatLabels(f.labelNames, values), g.Value()))
-		})
 	}
 	for name, f := range r.histFams {
 		f.each(func(values []string, h *Histogram) {

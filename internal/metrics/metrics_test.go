@@ -38,15 +38,6 @@ func TestCounterConcurrent(t *testing.T) {
 	}
 }
 
-func TestGauge(t *testing.T) {
-	var g Gauge
-	g.Set(10)
-	g.Add(-4)
-	if got := g.Value(); got != 6 {
-		t.Errorf("Value() = %d, want 6", got)
-	}
-}
-
 func TestHistogramBasics(t *testing.T) {
 	h := NewHistogram(1, 10, 100)
 	for _, v := range []float64{0.5, 5, 50, 500} {
@@ -117,11 +108,10 @@ func TestRegistry(t *testing.T) {
 	if got := r.Counter("reqs").Value(); got != 3 {
 		t.Errorf("same counter not returned: %d", got)
 	}
-	r.Gauge("conns").Set(9)
 	r.Histogram("lat", 1, 10).Observe(2)
 
 	snap := r.Snapshot()
-	for _, want := range []string{"counter reqs 3", "gauge conns 9", "histogram lat count=1"} {
+	for _, want := range []string{"counter reqs 3", "histogram lat count=1"} {
 		if !strings.Contains(snap, want) {
 			t.Errorf("Snapshot missing %q:\n%s", want, snap)
 		}

@@ -11,16 +11,13 @@
 //   - Accountant: a byte-accurate, category-split ledger (distributable
 //     base versions, selector-held documents, codec indexes) updated with
 //     atomics by the owning entries.
-//   - ClassStore: the interface the engine programs against — a sharded
-//     key→Entry map plus the accountant and a Maintain hook.
-//   - Map: the default implementation, the unbudgeted sharded map the
-//     engine always had. Maintain is a no-op.
-//   - Budgeted: a Map governed by a byte budget. Maintain prunes redundant
-//     per-class payload first, then runs CLOCK (second-chance) eviction of
-//     whole classes until resident bytes fit the budget again, keeping an
-//     eviction log for the admin endpoint.
+//   - Table: the sharded key→Entry class table plus its accountant. With a
+//     byte budget, Maintain prunes redundant per-class payload first, then
+//     runs CLOCK (second-chance) eviction of whole classes until resident
+//     bytes fit the budget again, keeping an eviction log for the admin
+//     endpoint; without one, Maintain is a no-op.
 //
-// Entries are never deleted from the map: eviction strips an entry's
+// Entries are never deleted from the table: eviction strips an entry's
 // payload (Entry.Evict) and leaves the entry resident so its identity,
 // counters, and version numbering survive — the degradation contract is
 // that an evicted class falls back to full responses and re-warms from
@@ -30,6 +27,7 @@ package store
 import (
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // Usage is a point-in-time snapshot of the accountant's ledger.
@@ -115,35 +113,7 @@ type Entry interface {
 	Evict() int64
 }
 
-// ClassStore owns the key→Entry table. Implementations are safe for
-// concurrent use.
-type ClassStore interface {
-	// Get returns the entry for key, if present, marking it
-	// recently-used for the eviction policy.
-	Get(key string) (Entry, bool)
-	// GetOrCreate returns the entry for key, calling create (exactly
-	// once per key) to make it when absent. created reports whether this
-	// call created it.
-	GetOrCreate(key string, create func() Entry) (e Entry, created bool)
-	// ForEach calls fn for every entry until fn returns false. fn runs
-	// with internal locks held and must not call back into the store.
-	ForEach(fn func(key string, e Entry) bool)
-	// Len returns the number of entries.
-	Len() int
-	// Accountant returns the store's byte ledger. Entries update it.
-	Accountant() *Accountant
-	// Maintain enforces the store's budget, if any: over budget it
-	// prunes and then evicts entries until resident bytes fit again.
-	// Returns the bytes freed (0 when under budget or unbudgeted). Call
-	// it with no entry locks held.
-	Maintain() int64
-	// Budget returns the byte budget, or 0 when unbudgeted.
-	Budget() int64
-	// Stats snapshots the store for reporting.
-	Stats() Stats
-}
-
-// Stats is a reporting snapshot of a ClassStore.
+// Stats is a reporting snapshot of a Table.
 type Stats struct {
 	// Budget is the byte budget (0 = unbudgeted).
 	Budget int64 `json:"budget"`
@@ -159,6 +129,17 @@ type Stats struct {
 	// Log is the most recent maintenance actions, oldest first.
 	Log []EvictionRecord `json:"recentEvictions,omitempty"`
 }
+
+// EvictionRecord is one entry of the maintenance log.
+type EvictionRecord struct {
+	Key        string    `json:"key"`
+	Kind       string    `json:"kind"` // "prune" or "evict"
+	FreedBytes int64     `json:"freedBytes"`
+	At         time.Time `json:"at"`
+}
+
+// evictionLogSize bounds the maintenance log kept for the admin endpoint.
+const evictionLogSize = 64
 
 // shardCount sizes the sharded table. A power of two so the shard pick is
 // a mask; 64 shards keep cross-class contention negligible well past the
@@ -187,32 +168,54 @@ type mapShard struct {
 	slots map[string]*slot
 }
 
-// Map is the default ClassStore: the sharded map the engine always used,
-// with no budget. Maintain is a no-op.
-type Map struct {
+// Table is the class table: a sharded key→Entry map and its byte ledger,
+// governed by a byte budget when one is set. It is safe for concurrent use.
+//
+// Entries stay in the table after eviction; only their payload is released.
+// The eviction ring therefore only ever grows, and an evicted entry that
+// re-warms from traffic is a normal CLOCK citizen again.
+type Table struct {
 	acct   Accountant
 	shards [shardCount]mapShard
+	budget int64 // 0: unbudgeted, no ring
+	now    func() time.Time
 
-	// onCreate, when set (by Budgeted), registers every new slot with the
-	// eviction ring. Called under the shard write lock.
-	onCreate func(*slot)
+	// maintMu admits one maintainer at a time; contenders skip (TryLock)
+	// so a request's hot path never queues behind an eviction sweep.
+	maintMu sync.Mutex
+
+	// mu guards the ring, the clock hand, and the log. Lock order is
+	// shard.mu → mu (GetOrCreate registers under the shard write lock),
+	// and Maintain never touches shard locks.
+	mu   sync.Mutex
+	ring []*slot
+	hand int
+	log  [evictionLogSize]EvictionRecord
+	logN int64 // total records ever written; log[(logN-1)%size] is newest
+
+	prunes    atomic.Int64
+	evictions atomic.Int64
 }
 
-var _ ClassStore = (*Map)(nil)
-
-// NewMap returns an empty unbudgeted store.
-func NewMap() *Map {
-	m := &Map{}
-	for i := range m.shards {
-		m.shards[i].slots = make(map[string]*slot)
+// NewTable returns an empty class table that keeps resident bytes at or
+// under budget (bytes); 0 means unbudgeted. now supplies timestamps for the
+// eviction log; nil means time.Now.
+func NewTable(budget int64, now func() time.Time) *Table {
+	if now == nil {
+		now = time.Now
 	}
-	return m
+	t := &Table{budget: budget, now: now}
+	for i := range t.shards {
+		t.shards[i].slots = make(map[string]*slot)
+	}
+	return t
 }
 
-// Get implements ClassStore. The fast path is one shard read lock and one
-// atomic store for the reference bit; it does not allocate.
-func (m *Map) Get(key string) (Entry, bool) {
-	sh := &m.shards[shardOf(key)]
+// Get returns the entry for key, if present, marking it recently-used for
+// the eviction policy. The fast path is one shard read lock and one atomic
+// store for the reference bit; it does not allocate.
+func (t *Table) Get(key string) (Entry, bool) {
+	sh := &t.shards[shardOf(key)]
 	sh.mu.RLock()
 	s := sh.slots[key]
 	sh.mu.RUnlock()
@@ -223,13 +226,14 @@ func (m *Map) Get(key string) (Entry, bool) {
 	return s.entry, true
 }
 
-// GetOrCreate implements ClassStore. The fast path is Get; creation
-// re-checks under the shard write lock so create runs exactly once per key.
-func (m *Map) GetOrCreate(key string, create func() Entry) (Entry, bool) {
-	if e, ok := m.Get(key); ok {
+// GetOrCreate returns the entry for key, calling create (exactly once per
+// key) to make it when absent. created reports whether this call created
+// it. The fast path is Get; creation re-checks under the shard write lock.
+func (t *Table) GetOrCreate(key string, create func() Entry) (e Entry, created bool) {
+	if e, ok := t.Get(key); ok {
 		return e, false
 	}
-	sh := &m.shards[shardOf(key)]
+	sh := &t.shards[shardOf(key)]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if s, ok := sh.slots[key]; ok {
@@ -239,16 +243,19 @@ func (m *Map) GetOrCreate(key string, create func() Entry) (Entry, bool) {
 	s := &slot{key: key, entry: create()}
 	s.ref.Store(true)
 	sh.slots[key] = s
-	if m.onCreate != nil {
-		m.onCreate(s)
+	if t.budget > 0 {
+		t.mu.Lock()
+		t.ring = append(t.ring, s)
+		t.mu.Unlock()
 	}
 	return s.entry, true
 }
 
-// ForEach implements ClassStore.
-func (m *Map) ForEach(fn func(key string, e Entry) bool) {
-	for i := range m.shards {
-		sh := &m.shards[i]
+// ForEach calls fn for every entry until fn returns false. fn runs with
+// internal locks held and must not call back into the table.
+func (t *Table) ForEach(fn func(key string, e Entry) bool) {
+	for i := range t.shards {
+		sh := &t.shards[i]
 		sh.mu.RLock()
 		for k, s := range sh.slots {
 			if !fn(k, s.entry) {
@@ -260,11 +267,11 @@ func (m *Map) ForEach(fn func(key string, e Entry) bool) {
 	}
 }
 
-// Len implements ClassStore.
-func (m *Map) Len() int {
+// Len returns the number of entries.
+func (t *Table) Len() int {
 	n := 0
-	for i := range m.shards {
-		sh := &m.shards[i]
+	for i := range t.shards {
+		sh := &t.shards[i]
 		sh.mu.RLock()
 		n += len(sh.slots)
 		sh.mu.RUnlock()
@@ -272,23 +279,148 @@ func (m *Map) Len() int {
 	return n
 }
 
-// Accountant implements ClassStore.
-func (m *Map) Accountant() *Accountant { return &m.acct }
+// Accountant returns the table's byte ledger. Entries update it.
+func (t *Table) Accountant() *Accountant { return &t.acct }
 
-// Maintain implements ClassStore: the unbudgeted store never evicts.
-func (m *Map) Maintain() int64 { return 0 }
+// over reports whether resident bytes exceed a set budget.
+func (t *Table) over() bool { return t.budget > 0 && t.acct.Total() > t.budget }
 
-// Budget implements ClassStore.
-func (m *Map) Budget() int64 { return 0 }
+// Maintain enforces the budget: while resident bytes exceed it, it degrades
+// storage in two passes and returns the bytes freed (0 when under budget or
+// unbudgeted). Call it with no entry locks held.
+//
+//	Pass 1 (prune): every entry drops redundant payload — old base-file
+//	versions and sampled candidate documents — cheapest degradation first,
+//	since a pruned class keeps serving deltas against its newest base.
+//	Pass 2 (CLOCK): second-chance eviction over the ring. An entry whose
+//	reference bit is set (touched since the last sweep) is spared once;
+//	on the second encounter its whole payload is released and the class
+//	degrades to full responses until traffic re-warms it.
+//
+// Only one maintainer sweeps at a time; a contender that loses the lock
+// returns immediately rather than queueing. Its freshly installed bytes are
+// still collected: an install always precedes the loser's lock attempt, and
+// the attempt can only fail while the winner holds the lock, so the
+// winner's post-release budget re-check observes the install and triggers
+// another sweep. The enforcement bound is therefore: once every Maintain
+// call has returned, resident bytes are at or under budget.
+//
+// A sweep frees bytes whenever any entry holds them (the hard pass below
+// ignores reference bits once the polite passes fail), so a zero-freed
+// sweep means every ringed entry is empty; remaining over budget then can
+// only mean a misaccounted entry, and giving up beats spinning.
+func (t *Table) Maintain() int64 {
+	var freed int64
+	for t.over() {
+		if !t.maintMu.TryLock() {
+			return freed // the lock holder re-checks after it releases
+		}
+		f := t.sweep()
+		t.maintMu.Unlock()
+		freed += f
+		if f == 0 {
+			break
+		}
+	}
+	return freed
+}
 
-// Stats implements ClassStore.
-func (m *Map) Stats() Stats {
-	st := Stats{Resident: m.acct.Usage()}
-	m.ForEach(func(string, Entry) bool {
+// sweep runs one prune pass and one CLOCK pass over a snapshot of the
+// ring and returns the bytes freed. The caller holds maintMu.
+func (t *Table) sweep() int64 {
+	t.mu.Lock()
+	ring := t.ring[:len(t.ring):len(t.ring)]
+	hand := t.hand
+	t.mu.Unlock()
+	n := len(ring)
+	if n == 0 {
+		return 0
+	}
+
+	var freed int64
+	for i := 0; i < n && t.over(); i++ {
+		s := ring[(hand+i)%n]
+		if f := s.entry.Prune(); f > 0 {
+			freed += f
+			t.prunes.Add(1)
+			t.record("prune", s.key, f)
+		}
+	}
+	for i := 0; i < 2*n && t.over(); i++ {
+		s := ring[hand]
+		hand = (hand + 1) % n
+		if s.ref.Swap(false) {
+			continue // second chance: touched since the last sweep
+		}
+		if s.entry.ResidentBytes() == 0 {
+			continue // already empty; nothing to release
+		}
+		f := s.entry.Evict()
+		freed += f
+		t.evictions.Add(1)
+		t.record("evict", s.key, f)
+	}
+	// Hard pass: still over budget with every entry recently touched —
+	// concurrent traffic can re-set reference bits faster than the
+	// second-chance pass clears them, sparing everything. The budget is a
+	// cap, not a preference, so evict regardless of recency; victims
+	// re-warm from traffic like any other evicted class.
+	for i := 0; i < n && t.over(); i++ {
+		s := ring[hand]
+		hand = (hand + 1) % n
+		if s.entry.ResidentBytes() == 0 {
+			continue
+		}
+		f := s.entry.Evict()
+		freed += f
+		t.evictions.Add(1)
+		t.record("evict", s.key, f)
+	}
+	t.mu.Lock()
+	t.hand = hand
+	t.mu.Unlock()
+	return freed
+}
+
+// record appends one action to the bounded maintenance log.
+func (t *Table) record(kind, key string, freedBytes int64) {
+	t.mu.Lock()
+	t.log[t.logN%evictionLogSize] = EvictionRecord{
+		Key:        key,
+		Kind:       kind,
+		FreedBytes: freedBytes,
+		At:         t.now(),
+	}
+	t.logN++
+	t.mu.Unlock()
+}
+
+// Stats snapshots the table for reporting. An unbudgeted table never
+// evicts, so every entry counts as resident.
+func (t *Table) Stats() Stats {
+	st := Stats{
+		Budget:    t.budget,
+		Resident:  t.acct.Usage(),
+		Prunes:    t.prunes.Load(),
+		Evictions: t.evictions.Load(),
+	}
+	t.ForEach(func(_ string, e Entry) bool {
 		st.Classes++
+		if t.budget == 0 || e.ResidentBytes() > 0 {
+			st.ResidentClasses++
+		}
 		return true
 	})
-	// The unbudgeted store never evicts, so every entry is resident.
-	st.ResidentClasses = st.Classes
+	t.mu.Lock()
+	total := t.logN
+	kept := total
+	if kept > evictionLogSize {
+		kept = evictionLogSize
+	}
+	st.Log = make([]EvictionRecord, 0, kept)
+	for i := total - kept; i < total; i++ {
+		st.Log = append(st.Log, t.log[i%evictionLogSize])
+	}
+	t.mu.Unlock()
 	return st
 }

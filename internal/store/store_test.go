@@ -79,7 +79,7 @@ func TestAccountant(t *testing.T) {
 }
 
 func TestMapGetOrCreateOnce(t *testing.T) {
-	m := NewMap()
+	m := NewTable(0, nil)
 	var created int
 	var mu sync.Mutex
 	var wg sync.WaitGroup
@@ -115,10 +115,19 @@ func TestMapGetOrCreateOnce(t *testing.T) {
 	if m.Maintain() != 0 {
 		t.Fatal("unbudgeted Maintain freed bytes")
 	}
+	if len(m.ring) != 0 {
+		t.Fatal("unbudgeted table keeps an eviction ring")
+	}
+	// Unbudgeted, nothing is ever evicted: an entry holding no bytes yet
+	// still counts as resident.
+	m.GetOrCreate("empty", func() Entry { return newFakeEntry(m.Accountant(), 0, 0) })
+	if st := m.Stats(); st.Classes != 2 || st.ResidentClasses != 2 {
+		t.Fatalf("stats = %+v, want both entries resident", st)
+	}
 }
 
 func TestBudgetedPrunesBeforeEvicting(t *testing.T) {
-	b := NewBudgeted(200, func() time.Time { return time.Unix(0, 0) })
+	b := NewTable(200, func() time.Time { return time.Unix(0, 0) })
 	var entries []*fakeEntry
 	for i := 0; i < 4; i++ {
 		e, _ := b.GetOrCreate(fmt.Sprintf("c%d", i), func() Entry {
@@ -159,7 +168,7 @@ func TestBudgetedPrunesBeforeEvicting(t *testing.T) {
 }
 
 func TestBudgetedEvictsUntilUnderBudget(t *testing.T) {
-	b := NewBudgeted(100, nil)
+	b := NewTable(100, nil)
 	var entries []*fakeEntry
 	for i := 0; i < 4; i++ {
 		b.GetOrCreate(fmt.Sprintf("c%d", i), func() Entry {
@@ -192,7 +201,7 @@ func TestBudgetedEvictsUntilUnderBudget(t *testing.T) {
 }
 
 func TestBudgetedSecondChanceSparesTouched(t *testing.T) {
-	b := NewBudgeted(50, nil)
+	b := NewTable(50, nil)
 	var hot *fakeEntry
 	b.GetOrCreate("hot", func() Entry {
 		hot = newFakeEntry(b.Accountant(), 50, 0)
@@ -235,7 +244,7 @@ func TestBudgetedSecondChanceSparesTouched(t *testing.T) {
 }
 
 func TestBudgetedLogRing(t *testing.T) {
-	b := NewBudgeted(0, func() time.Time { return time.Unix(42, 0) })
+	b := NewTable(0, func() time.Time { return time.Unix(42, 0) })
 	for i := 0; i < evictionLogSize+10; i++ {
 		b.record("evict", fmt.Sprintf("c%d", i), 1)
 	}
@@ -255,7 +264,7 @@ func TestBudgetedLogRing(t *testing.T) {
 }
 
 func TestBudgetedConcurrentMaintain(t *testing.T) {
-	b := NewBudgeted(64, nil)
+	b := NewTable(64, nil)
 	for i := 0; i < 32; i++ {
 		i := i
 		b.GetOrCreate(fmt.Sprintf("c%d", i), func() Entry {
@@ -287,7 +296,7 @@ func TestBudgetedConcurrentMaintain(t *testing.T) {
 // that holder's post-release re-check — not linger over budget until the
 // next request happens to sweep.
 func TestBudgetedMaintainConvergesUnderConcurrentInstalls(t *testing.T) {
-	b := NewBudgeted(256, nil)
+	b := NewTable(256, nil)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		g := g
