@@ -77,15 +77,20 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Process anonymizes one base-file. It is safe for concurrent use.
+// Process anonymizes one base-file. It is safe for concurrent use:
+// comparisons of different users run in parallel, and since the counters
+// are sums, the order they land in does not matter.
 type Process struct {
 	cfg   Config
 	base  []byte
 	owner string
 
-	mu          sync.Mutex
-	counters    []int
-	users       map[string]struct{}
+	mu       sync.Mutex
+	counters []int
+	users    map[string]struct{}
+	// reserved counts the users admitted to compare (at most N);
+	// comparisons counts those whose scan has been added to counters.
+	reserved    int
 	comparisons int
 }
 
@@ -106,35 +111,54 @@ func NewProcess(base []byte, ownerID string, cfg Config) *Process {
 	}
 }
 
+// Wants reports whether a Compare by userID would count now: fewer than N
+// users are admitted, userID is not the base-file's owner, and it has not
+// been admitted before.
+func (p *Process) Wants(userID string) bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.wantsLocked(userID)
+}
+
+func (p *Process) wantsLocked(userID string) bool {
+	if p.reserved >= p.cfg.N || userID == p.owner {
+		return false
+	}
+	_, seen := p.users[userID]
+	return !seen
+}
+
 // Compare feeds one document into the process. It increments the counters
 // of every base-file chunk common between the base-file and doc, provided
 // userID is a new distinct user different from the base-file's owner.
-// It reports whether the comparison counted toward the N required.
+// It reports whether the comparison counted toward the N required. The
+// scan runs outside the process's lock, which is held only to admit the
+// user and to add the scan's result.
 func (p *Process) Compare(doc []byte, userID string) bool {
 	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.comparisons >= p.cfg.N {
-		return false
-	}
-	if userID == p.owner {
-		return false
-	}
-	if _, seen := p.users[userID]; seen {
+	if !p.wantsLocked(userID) {
+		p.mu.Unlock()
 		return false
 	}
 	p.users[userID] = struct{}{}
-	p.comparisons++
+	p.reserved++
+	p.mu.Unlock()
 
 	common := vdelta.CommonChunksRun(p.base, doc, p.cfg.ChunkSize, p.cfg.MatchRun)
+
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	for i, c := range common {
 		if c {
 			p.counters[i]++
 		}
 	}
+	p.comparisons++
 	return true
 }
 
-// Done reports whether the required N distinct-user comparisons completed.
+// Done reports whether the required N distinct-user comparisons completed,
+// their counts added.
 func (p *Process) Done() bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()

@@ -253,6 +253,80 @@ func TestProcessConcurrent(t *testing.T) {
 	}
 }
 
+// TestCompareOrderIndependent runs N distinct users' comparisons at once
+// (their scans overlap outside the lock and land in any order) and
+// requires exactly the counters and result of the sequential run: the
+// counters are sums.
+func TestCompareOrderIndependent(t *testing.T) {
+	sections := []string{"<p>spec sheet, dimensions, weight and finish</p>",
+		"<p>reviews from verified buyers, sorted by date</p>",
+		"<p>related accessories and bundles for this model</p>"}
+	base := []byte(string(personalDoc("owner")) + strings.Join(sections, ""))
+	const n = 9
+	docs := make([][]byte, n)
+	for i := range docs {
+		// Each user's page carries a different subset of the base's
+		// optional sections, so the chunk counters differ chunk to chunk.
+		doc := string(personalDoc(fmt.Sprintf("u%d", i)))
+		for k, sec := range sections {
+			if i>>k&1 == 1 {
+				doc += sec
+			}
+		}
+		docs[i] = []byte(doc)
+	}
+	cfg := Config{M: 3, N: n}
+	seq := NewProcess(base, "owner", cfg)
+	for i, doc := range docs {
+		seq.Compare(doc, fmt.Sprintf("u%d", i))
+	}
+	wantCounters := seq.ChunkCounters()
+	want, err := seq.Result()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for round := 0; round < 20; round++ {
+		p := NewProcess(base, "owner", cfg)
+		var wg sync.WaitGroup
+		for i, doc := range docs {
+			wg.Add(1)
+			go func(i int, doc []byte) {
+				defer wg.Done()
+				if !p.Compare(doc, fmt.Sprintf("u%d", i)) {
+					t.Errorf("round %d: user u%d did not count", round, i)
+				}
+			}(i, doc)
+		}
+		wg.Wait()
+		got, err := p.Result()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprint(p.ChunkCounters()) != fmt.Sprint(wantCounters) || !bytes.Equal(got, want) {
+			t.Fatalf("round %d: concurrent comparisons differ from the sequential run", round)
+		}
+	}
+}
+
+func TestWants(t *testing.T) {
+	p := NewProcess(personalDoc("owner"), "owner", Config{M: 1, N: 2})
+	if p.Wants("owner") {
+		t.Error("Wants(owner) = true: the owner's documents never count")
+	}
+	if !p.Wants("a") {
+		t.Error("Wants(new user) = false on a fresh process")
+	}
+	p.Compare(personalDoc("a"), "a")
+	if p.Wants("a") {
+		t.Error("Wants(repeated user) = true")
+	}
+	p.Compare(personalDoc("b"), "b")
+	if !p.Done() || p.Wants("c") {
+		t.Errorf("done process: Done() = %v, Wants(new user) = %v; want true, false", p.Done(), p.Wants("c"))
+	}
+}
+
 func TestPrivacyBoundPaperExample(t *testing.T) {
 	// p=0.01, N=10, M=5: bound 4.7e-7, exact 2.4e-8 (Section V).
 	bound := PrivacyBoundIID(10, 5, 0.01)

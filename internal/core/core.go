@@ -879,12 +879,14 @@ func (e *Engine) states() []*classState {
 }
 
 // Process runs one request through route → observe → snapshot → decide →
-// encode → settle (DESIGN.md §8). Observe and snapshot are one short
-// mutation phase under the class write lock; decide is a pure function of
-// the snapshot returning the response's Reason; the encode runs unlocked
-// and can only demote a delta plan to a full; settle counts the request
-// in its class's cells. Concurrent requests to the same class
-// therefore overlap on the expensive part — the 6-8 ms/delta encode that
+// encode → settle (DESIGN.md §8). Observe and snapshot hold the class
+// write lock for bookkeeping only: the anonymization comparison, observe's
+// one scan, runs with it released, and the install it may complete
+// re-validates under it. Decide is a pure function of the snapshot
+// returning the response's Reason; the encode runs unlocked and can only
+// demote a delta plan to a full; settle counts the request in its class's
+// cells. Concurrent requests to the same class therefore overlap on the
+// expensive parts — the comparison, and the 6-8 ms/delta encode that
 // bounds the capacity experiment of Section VI-C.
 func (e *Engine) Process(req Request) (Response, error) {
 	if req.Doc == nil {
@@ -928,7 +930,14 @@ func (e *Engine) Process(req Request) (Response, error) {
 	}
 	tr.Record(obs.StageSelect, t0, 0)
 	t0 = tr.Now()
-	e.advanceAnonymization(cs, req, now)
+	if proc := e.advanceAnonymization(cs, req, now); proc != nil {
+		// The comparison is the one heavy step of observe: run it with
+		// the class unlocked, then install if it completed the round.
+		cs.mu.Unlock()
+		proc.Compare(req.Doc, req.UserID)
+		cs.mu.Lock()
+		e.finishAnonymization(cs, proc, now)
+	}
 	if !e.cfg.DisableAnonymization {
 		tr.Record(obs.StageAnon, t0, 0)
 	}
@@ -1044,16 +1053,17 @@ func (e *Engine) ObserveForward(d time.Duration) {
 
 // advanceAnonymization drives the class's anonymization pipeline: it starts
 // a process when the selector has a newer base than the one being (or
-// already) distributed, feeds the current request into a running process,
-// and installs the anonymized base when the process completes. Callers hold
-// cs.mu.
-func (e *Engine) advanceAnonymization(cs *classState, req Request, now time.Time) {
+// already) distributed, and returns the running process when the request's
+// user is one it still wants compared, nil otherwise. The caller runs the
+// comparison without cs.mu and then calls finishAnonymization. Callers
+// hold cs.mu.
+func (e *Engine) advanceAnonymization(cs *classState, req Request, now time.Time) *anonymize.Process {
 	base, version := cs.selector.Base()
 	if version == 0 || base == nil {
 		// base == nil with version > 0 is the evicted state: the selector
 		// keeps its version counter but holds no document until the next
 		// Observe re-warms it.
-		return
+		return nil
 	}
 
 	if e.cfg.DisableAnonymization {
@@ -1061,7 +1071,7 @@ func (e *Engine) advanceAnonymization(cs *classState, req Request, now time.Time
 		if version > cs.distVersion {
 			e.installBase(cs, version, base, now)
 		}
-		return
+		return nil
 	}
 
 	// (Re)start the process when the selector moved past what we are
@@ -1071,21 +1081,27 @@ func (e *Engine) advanceAnonymization(cs *classState, req Request, now time.Time
 		cs.anonSource = version
 		e.ctr.anonStarted.Inc()
 	}
-	if cs.anonProc == nil {
-		return
+	if cs.anonProc == nil || !cs.anonProc.Wants(req.UserID) {
+		return nil
 	}
-	cs.anonProc.Compare(req.Doc, req.UserID)
-	if !cs.anonProc.Done() {
-		return
-	}
-	anon, err := cs.anonProc.Result()
-	if err != nil {
-		// Unreachable: Done() implies Result succeeds. Drop the process to
-		// avoid wedging the class.
-		cs.anonProc = nil
+	return cs.anonProc
+}
+
+// finishAnonymization installs the anonymized base of proc if proc is
+// still the class's current process — not superseded by a newer base, not
+// dropped by an eviction or a fault-in while the comparison ran unlocked —
+// and has all N comparisons applied. Exactly one caller sees both, so a
+// round installs at most once. Callers hold cs.mu.
+func (e *Engine) finishAnonymization(cs *classState, proc *anonymize.Process, now time.Time) {
+	if cs.anonProc != proc || !proc.Done() {
 		return
 	}
 	cs.anonProc = nil
+	anon, err := proc.Result()
+	if err != nil {
+		// Unreachable: Done() implies Result succeeds.
+		return
+	}
 	e.ctr.anonCompleted.Inc()
 	e.installBase(cs, cs.anonSource, anon, now)
 }

@@ -48,14 +48,19 @@ func TestAppendCompressAllocBudget(t *testing.T) {
 		t.Skip("allocation counts differ under -race")
 	}
 	data := benchPayload()
-	dst := make([]byte, 0, len(data))
-	for i := 0; i < 3; i++ {
-		dst = AppendCompress(dst[:0], data)
-	}
-	allocs := testing.AllocsPerRun(50, func() { dst = AppendCompress(dst[:0], data) })
-	if allocs > appendCompressAllocBudget {
-		t.Errorf("AppendCompress allocates %.1f objects/op with capacity, budget %.1f",
-			allocs, appendCompressAllocBudget)
+	for name, compress := range map[string]func(dst, data []byte) []byte{
+		"AppendCompress":     AppendCompress,
+		"AppendCompressFast": AppendCompressFast,
+	} {
+		dst := make([]byte, 0, len(data))
+		for i := 0; i < 3; i++ {
+			dst = compress(dst[:0], data)
+		}
+		allocs := testing.AllocsPerRun(50, func() { dst = compress(dst[:0], data) })
+		if allocs > appendCompressAllocBudget {
+			t.Errorf("%s allocates %.1f objects/op with capacity, budget %.1f",
+				name, allocs, appendCompressAllocBudget)
+		}
 	}
 }
 

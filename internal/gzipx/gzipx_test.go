@@ -25,6 +25,9 @@ func TestRoundTrip(t *testing.T) {
 		if !bytes.Equal(got, data) {
 			t.Errorf("case %d: round trip mismatch", i)
 		}
+		if got, err := Decompress(AppendCompressFast(nil, data)); err != nil || !bytes.Equal(got, data) {
+			t.Errorf("case %d: BestSpeed round trip: %v", i, err)
+		}
 	}
 }
 

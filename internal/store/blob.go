@@ -122,11 +122,14 @@ func getScratch() *scratch  { return scratchPool.Get().(*scratch) }
 func putScratch(s *scratch) { scratchPool.Put(s) }
 
 // appendBody encodes one body section, compressing through the pooled
-// gzipx writer when that wins.
+// gzipx writer when that wins. Spill appends run on the request that
+// triggered the eviction, so bodies compress at BestSpeed: on personalized
+// ~38 KB pages, a quarter to a third of BestCompression's time for
+// records about 15% larger.
 func appendBody(dst []byte, data []byte) []byte {
 	if len(data) >= spillGzipMin {
 		st := getScratch()
-		st.buf = gzipx.AppendCompress(st.buf[:0], data)
+		st.buf = gzipx.AppendCompressFast(st.buf[:0], data)
 		if len(st.buf) < len(data) {
 			dst = append(dst, bodyGzip)
 			dst = binary.AppendUvarint(dst, uint64(len(data)))

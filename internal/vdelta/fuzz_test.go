@@ -89,23 +89,3 @@ func FuzzEstimateMatchesReference(f *testing.F) {
 		}
 	})
 }
-
-// FuzzCommonChunksRun must never panic regardless of sizes.
-func FuzzCommonChunksRun(f *testing.F) {
-	f.Add([]byte("base bytes"), []byte("target bytes"), 4, 16)
-	f.Add([]byte{}, []byte{}, 0, 0)
-	f.Add([]byte("x"), []byte("y"), -3, 1000)
-	f.Fuzz(func(t *testing.T, base, target []byte, chunkSize, runLen int) {
-		if chunkSize > 1<<16 || chunkSize < -1<<16 || runLen > 1<<16 || runLen < -1<<16 {
-			t.Skip()
-		}
-		common := CommonChunksRun(base, target, chunkSize, runLen)
-		cs := chunkSize
-		if cs < 1 {
-			cs = DefaultChunkSize
-		}
-		if want := (len(base) + cs - 1) / cs; len(common) != want {
-			t.Fatalf("got %d chunks, want %d", len(common), want)
-		}
-	})
-}
