@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"cbde/internal/anonymize"
 	"cbde/internal/basefile"
@@ -105,11 +106,22 @@ func TestTraceJoinAcrossTier(t *testing.T) {
 	traceID := resp.Header.Get(deltahttp.HeaderTrace)
 	traceID, _, _ = strings.Cut(traceID, ";")
 
+	// Each node records its hop in a deferred step that may finish after
+	// the response is written, so a trace is only eventually visible: poll
+	// until both hops are there (or the deadline passes and the asserts
+	// below say what is missing).
 	var buf bytes.Buffer
-	if err := run([]string{"-trace", "-peers", "n0=" + urls[0] + ",n1=" + urls[1]}, &buf); err != nil {
-		t.Fatalf("-trace: %v\n%s", err, buf.String())
+	var out string
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		buf.Reset()
+		if err := run([]string{"-trace", "-peers", "n0=" + urls[0] + ",n1=" + urls[1]}, &buf); err != nil {
+			t.Fatalf("-trace: %v\n%s", err, buf.String())
+		}
+		out = buf.String()
+		if strings.Contains(out, "hop 0 "+entryID) && strings.Contains(out, "hop 1 "+ownerID) || time.Now().After(deadline) {
+			break
+		}
 	}
-	out := buf.String()
 	if !strings.Contains(out, "trace "+traceID+" nodes=2 [") ||
 		!strings.Contains(out, "origin="+entryID) {
 		t.Errorf("join summary missing or wrong (want trace %s origin %s):\n%s", traceID, entryID, out)

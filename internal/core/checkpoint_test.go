@@ -327,7 +327,7 @@ func TestCheckpointCrashRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Write([]byte("CBS3\xff\xff torn by the crash")); err != nil {
+	if _, err := f.Write([]byte("CBS4\xff\xff torn by the crash")); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()

@@ -21,8 +21,6 @@
 //     -mem-budget governs the graph and prune/evict/epoch-bump drain it.
 package core
 
-import "cbde/internal/gzipx"
-
 // versionEdge is one cached delta between adjacent retained base versions:
 // applying payload to bases[from] yields bases[to] byte-for-byte.
 type versionEdge struct {
@@ -77,7 +75,7 @@ func (e *Engine) buildEdgeLocked(cs *classState, prev, v int, base []byte) {
 		return
 	}
 	ge := &versionEdge{from: prev, to: v, payload: delta, rawLen: len(delta)}
-	if c := gzipx.AppendDelta(nil, delta); len(c) > 0 {
+	if c := gzipDelta(delta); len(c) > 0 {
 		ge.payload, ge.gzipped = c, true
 	}
 	cs.dropEdgeLocked(prev) // stale edge from a failed install path, if any

@@ -13,6 +13,7 @@ import (
 	"cbde/internal/gzipx"
 	"cbde/internal/obs"
 	"cbde/internal/vcdiff"
+	"cbde/internal/vdelta"
 )
 
 // Reason says why a response is a delta or a full. Every response carries
@@ -296,7 +297,7 @@ func (e *Engine) encodeDelta(base *baseVersion, req Request, format Format, tr *
 
 	t0 = tr.Now()
 	payload = delta
-	if c := gzipx.AppendDelta(nil, delta); len(c) > 0 {
+	if c := gzipDelta(delta); len(c) > 0 {
 		payload, gzipped = c, true
 	}
 	tr.Record(obs.StageGzip, t0, int64(len(payload)))
@@ -306,6 +307,14 @@ func (e *Engine) encodeDelta(base *baseVersion, req Request, format Format, tr *
 		payload = append([]byte(nil), delta...)
 	}
 	return payload, gzipped, 0
+}
+
+// gzipDelta returns delta's gzip member, each vdelta section coded as its
+// own Huffman block (a VCDIFF delta is one block), or nothing when the
+// member would not be shorter than delta.
+func gzipDelta(delta []byte) []byte {
+	s := vdelta.Sections(delta)
+	return gzipx.AppendDelta(nil, s[:]...)
 }
 
 // deltaResponse is the response for a delta plan's payload. The class's

@@ -143,6 +143,10 @@ type FormatComparisonRow struct {
 	VCDIFFBytes int
 	VdeltaGzip  int
 	VCDIFFGzip  int
+	// VdeltaWire is what the engine ships for the vdelta delta: one
+	// Huffman block per section (gzipx.AppendDelta), or the raw delta when
+	// that is not shorter.
+	VdeltaWire int
 }
 
 // CompareFormats encodes the same document pairs in the internal vdelta
@@ -192,19 +196,29 @@ func CompareFormats() ([]FormatComparisonRow, error) {
 			VCDIFFBytes: len(vc),
 			VdeltaGzip:  len(gzipx.Compress(vd)),
 			VCDIFFGzip:  len(gzipx.Compress(vc)),
+			VdeltaWire:  wireSize(vd),
 		})
 	}
 	return rows, nil
 }
 
+// wireSize is the size of the payload the engine sends for a vdelta delta.
+func wireSize(delta []byte) int {
+	s := vdelta.Sections(delta)
+	if c := gzipx.AppendDelta(nil, s[:]...); len(c) > 0 {
+		return len(c)
+	}
+	return len(delta)
+}
+
 // FormatFormats renders the wire-format comparison.
 func FormatFormats(rows []FormatComparisonRow) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%-15s %9s %8s %8s %10s %10s\n",
-		"Pair", "Doc", "vdelta", "vcdiff", "vdelta+gz", "vcdiff+gz")
+	fmt.Fprintf(&b, "%-15s %9s %8s %8s %10s %10s %12s\n",
+		"Pair", "Doc", "vdelta", "vcdiff", "vdelta+gz", "vcdiff+gz", "vdelta wire")
 	for _, r := range rows {
-		fmt.Fprintf(&b, "%-15s %9d %8d %8d %10d %10d\n",
-			r.Label, r.DocBytes, r.VdeltaBytes, r.VCDIFFBytes, r.VdeltaGzip, r.VCDIFFGzip)
+		fmt.Fprintf(&b, "%-15s %9d %8d %8d %10d %10d %12d\n",
+			r.Label, r.DocBytes, r.VdeltaBytes, r.VCDIFFBytes, r.VdeltaGzip, r.VCDIFFGzip, r.VdeltaWire)
 	}
 	return b.String()
 }

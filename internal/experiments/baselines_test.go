@@ -242,6 +242,10 @@ func TestCompareFormats(t *testing.T) {
 		if r.VCDIFFBytes > r.VdeltaBytes*2 || r.VdeltaBytes > r.VCDIFFBytes*2 {
 			t.Errorf("%s: formats diverge: vdelta %d vs vcdiff %d", r.Label, r.VdeltaBytes, r.VCDIFFBytes)
 		}
+		// What the engine ships is never longer than the raw delta.
+		if r.VdeltaWire <= 0 || r.VdeltaWire > r.VdeltaBytes {
+			t.Errorf("%s: vdelta wire payload %d for a %d-byte delta", r.Label, r.VdeltaWire, r.VdeltaBytes)
+		}
 	}
 	if !strings.Contains(FormatFormats(rows), "vcdiff+gz") {
 		t.Error("FormatFormats missing header")

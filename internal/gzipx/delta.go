@@ -7,17 +7,21 @@ import (
 	"slices"
 )
 
-// AppendDelta appends to dst a gzip member holding data as one final
-// literal-only dynamic-Huffman deflate block, and returns the extended slice.
-// It is the codec for vdelta payloads: vdelta has already turned every repeat
-// against the base and the target's prefix into a copy, so LZ77 would find
-// about 1% more. The member's size is known before anything is written: when
-// it would not be shorter than data, dst comes back unextended; otherwise dst
-// grows at most once, to exactly that size. Any gzip reader inflates it.
-func AppendDelta(dst, data []byte) []byte {
-	var c deltaCoder
-	if size := c.plan(data); size < len(data) {
-		return c.write(dst, data, size)
+// AppendDelta appends to dst a gzip member holding the concatenation of
+// sections, coded as one literal-only dynamic-Huffman deflate block per
+// non-empty section, and returns the extended slice. It is the codec for
+// vdelta payloads: vdelta has already turned every repeat against the base
+// and the target's prefix into a copy, so LZ77 would find about 1% more,
+// while its sections — literal text, instructions, copy addresses — have
+// byte distributions different enough that each earns its own code. The
+// member's size is known before anything is written: when it would not be
+// shorter than the sections together, dst comes back unextended; otherwise
+// dst grows at most once, to exactly that size. Any gzip reader inflates it.
+// Sections after the maxBlocks-th non-empty one share its block.
+func AppendDelta(dst []byte, sections ...[]byte) []byte {
+	var m deltaMember
+	if size, raw := m.plan(sections); size < raw {
+		return m.write(dst, sections, size, raw)
 	}
 	return dst
 }
@@ -27,6 +31,7 @@ const (
 	maxCLBits  = 7   // and on the code-length code's
 	endOfBlock = 256 // the literal/length symbol that closes the block
 	clSymbols  = 19  // code-length alphabet: lengths 0-15, repeats 16-18
+	maxBlocks  = 3   // blocks one member codes apart: a vdelta delta's sections
 )
 
 // The code-length code's lengths are sent in clOrder (RFC 1951 §3.2.7);
@@ -36,32 +41,67 @@ var (
 	clExtra = [clSymbols]uint8{16: 2, 17: 3, 18: 7}
 )
 
-// deltaCoder is one AppendDelta call's state; it lives on the caller's
-// stack. plan builds the codes and sizes the member; write emits it.
-type deltaCoder struct {
-	freq    [endOfBlock + 1]uint64 // byte histogram, plus the one end-of-block
-	lit     [endOfBlock + 1]uint8  // literal code lengths
-	litCode [endOfBlock + 1]uint16
-	clFreq  [clSymbols]uint64
-	clLen   [clSymbols]uint8
-	clCode  [clSymbols]uint16
-	tokens  [endOfBlock + 2]uint16 // code-length symbols, extra bits <<8
-	ntok    int
-	hclen   int // code-length code lengths sent
+// deltaMember is one AppendDelta call's state; it lives on the caller's
+// stack. plan builds every block's codes and sizes the member; write emits
+// it.
+type deltaMember struct {
+	blocks  [maxBlocks]huffBlock
+	nblocks int
 }
 
-// plan builds both codes for data and returns the member's size in bytes.
-func (c *deltaCoder) plan(data []byte) int {
-	for _, b := range data {
-		c.freq[b]++
+// huffBlock is one literal-only block: its codes for sections[from:to].
+type huffBlock struct {
+	from, to int
+	lit      [endOfBlock + 1]uint8 // literal code lengths
+	litCode  [endOfBlock + 1]uint16
+	clFreq   [clSymbols]uint64
+	clLen    [clSymbols]uint8
+	clCode   [clSymbols]uint16
+	tokens   [endOfBlock + 2]uint16 // code-length symbols, extra bits <<8
+	ntok     int
+	hclen    int // code-length code lengths sent
+}
+
+// plan assigns the sections to blocks, builds their codes, and returns the
+// member's size and the sections' total length, both in bytes.
+func (m *deltaMember) plan(sections [][]byte) (size, raw int) {
+	for i, s := range sections {
+		raw += len(s)
+		switch {
+		case len(s) == 0:
+		case m.nblocks < maxBlocks:
+			m.blocks[m.nblocks].from, m.blocks[m.nblocks].to = i, i+1
+			m.nblocks++
+		default:
+			m.blocks[maxBlocks-1].to = i + 1
+		}
 	}
-	c.freq[endOfBlock] = 1
-	huffCode(c.freq[:], c.lit[:], c.litCode[:], maxLitBits)
+	if m.nblocks == 0 {
+		return 0, 0 // deflate needs a block; nothing is not shorter anyway
+	}
+	nbits := 0
+	for i := range m.blocks[:m.nblocks] {
+		nbits += m.blocks[i].plan(sections)
+	}
+	return 10 + (nbits+7)/8 + 8, raw
+}
+
+// plan builds both codes for the block's sections and returns its size in
+// bits.
+func (b *huffBlock) plan(sections [][]byte) int {
+	var freq [endOfBlock + 1]uint64 // byte histogram, plus the one end-of-block
+	for _, s := range sections[b.from:b.to] {
+		for _, c := range s {
+			freq[c]++
+		}
+	}
+	freq[endOfBlock] = 1
+	huffCode(freq[:], b.lit[:], b.litCode[:], maxLitBits)
 
 	// The literal lengths and the one distance length form one sequence,
 	// run-length coded with symbols 16-18; runs may cross the boundary.
 	seq := [endOfBlock + 2]uint8{endOfBlock + 1: 1} // one distance code, never used
-	copy(seq[:], c.lit[:])
+	copy(seq[:], b.lit[:])
 	for i := 0; i < len(seq); {
 		v, r := seq[i], 1
 		for i+r < len(seq) && seq[i+r] == v {
@@ -70,45 +110,46 @@ func (c *deltaCoder) plan(data []byte) int {
 		i += r
 		if v == 0 {
 			for ; r >= 11; r -= min(r, 138) {
-				c.token(18, min(r, 138)-11)
+				b.token(18, min(r, 138)-11)
 			}
 			if r >= 3 {
-				c.token(17, r-3)
+				b.token(17, r-3)
 				r = 0
 			}
 		} else {
-			c.token(v, 0)
+			b.token(v, 0)
 			for r--; r >= 3; r -= min(r, 6) {
-				c.token(16, min(r, 6)-3)
+				b.token(16, min(r, 6)-3)
 			}
 		}
 		for ; r > 0; r-- {
-			c.token(v, 0)
+			b.token(v, 0)
 		}
 	}
-	huffCode(c.clFreq[:], c.clLen[:], c.clCode[:], maxCLBits)
-	for c.hclen = clSymbols; c.hclen > 4 && c.clLen[clOrder[c.hclen-1]] == 0; c.hclen-- {
+	huffCode(b.clFreq[:], b.clLen[:], b.clCode[:], maxCLBits)
+	for b.hclen = clSymbols; b.hclen > 4 && b.clLen[clOrder[b.hclen-1]] == 0; b.hclen-- {
 	}
 
 	// BFINAL, BTYPE, HLIT, HDIST, HCLEN, then the code-length code.
-	nbits := 3 + 5 + 5 + 4 + 3*c.hclen
-	for _, t := range c.tokens[:c.ntok] {
-		nbits += int(c.clLen[t&0xff] + clExtra[t&0xff])
+	nbits := 3 + 5 + 5 + 4 + 3*b.hclen
+	for _, t := range b.tokens[:b.ntok] {
+		nbits += int(b.clLen[t&0xff] + clExtra[t&0xff])
 	}
-	for s, f := range c.freq {
-		nbits += int(f) * int(c.lit[s])
+	for s, f := range freq {
+		nbits += int(f) * int(b.lit[s])
 	}
-	return 10 + (nbits+7)/8 + 8
+	return nbits
 }
 
-func (c *deltaCoder) token(sym uint8, extra int) {
-	c.tokens[c.ntok] = uint16(sym) | uint16(extra)<<8
-	c.ntok++
-	c.clFreq[sym]++
+func (b *huffBlock) token(sym uint8, extra int) {
+	b.tokens[b.ntok] = uint16(sym) | uint16(extra)<<8
+	b.ntok++
+	b.clFreq[sym]++
 }
 
-// write appends the member plan sized to dst.
-func (c *deltaCoder) write(dst, data []byte, size int) []byte {
+// write appends the member plan sized to dst; raw is the sections' total
+// length.
+func (m *deltaMember) write(dst []byte, sections [][]byte, size, raw int) []byte {
 	if cap(dst)-len(dst) < size {
 		dst = append(make([]byte, 0, len(dst)+size), dst...)
 	}
@@ -117,22 +158,9 @@ func (c *deltaCoder) write(dst, data []byte, size int) []byte {
 	copy(out, []byte{0x1f, 0x8b, 8, 0, 0, 0, 0, 0, 0, 255})
 
 	w := bitWriter{out: out, pos: 10}
-	// BFINAL=1, BTYPE=10 (dynamic Huffman), HLIT-257=0, HDIST-1=0, HCLEN-4.
-	w.put(1|2<<1|uint64(c.hclen-4)<<13, 17)
-	for _, s := range clOrder[:c.hclen] {
-		w.put(uint64(c.clLen[s]), 3)
+	for i := range m.blocks[:m.nblocks] {
+		m.blocks[i].write(&w, sections, i == m.nblocks-1)
 	}
-	for _, t := range c.tokens[:c.ntok] {
-		s := t & 0xff
-		w.put(uint64(c.clCode[s]), uint(c.clLen[s]))
-		if n := clExtra[s]; n > 0 {
-			w.put(uint64(t>>8), uint(n))
-		}
-	}
-	for _, b := range data {
-		w.put(uint64(c.litCode[b]), uint(c.lit[b]))
-	}
-	w.put(uint64(c.litCode[endOfBlock]), uint(c.lit[endOfBlock]))
 	for ; w.n > 0; w.n -= min(w.n, 8) {
 		out[w.pos] = byte(w.acc)
 		w.acc >>= 8
@@ -141,9 +169,39 @@ func (c *deltaCoder) write(dst, data []byte, size int) []byte {
 	if w.pos != len(out)-8 {
 		panic("gzipx: AppendDelta wrote a different size than it planned")
 	}
-	binary.LittleEndian.PutUint32(out[w.pos:], crc32.ChecksumIEEE(data))
-	binary.LittleEndian.PutUint32(out[w.pos+4:], uint32(len(data)))
+	var crc uint32
+	for _, s := range sections {
+		crc = crc32.Update(crc, crc32.IEEETable, s)
+	}
+	binary.LittleEndian.PutUint32(out[w.pos:], crc)
+	binary.LittleEndian.PutUint32(out[w.pos+4:], uint32(raw))
 	return dst
+}
+
+// write emits the block; final sets its BFINAL bit.
+func (b *huffBlock) write(w *bitWriter, sections [][]byte, final bool) {
+	// BFINAL, BTYPE=10 (dynamic Huffman), HLIT-257=0, HDIST-1=0, HCLEN-4.
+	var bfinal uint64
+	if final {
+		bfinal = 1
+	}
+	w.put(bfinal|2<<1|uint64(b.hclen-4)<<13, 17)
+	for _, s := range clOrder[:b.hclen] {
+		w.put(uint64(b.clLen[s]), 3)
+	}
+	for _, t := range b.tokens[:b.ntok] {
+		s := t & 0xff
+		w.put(uint64(b.clCode[s]), uint(b.clLen[s]))
+		if n := clExtra[s]; n > 0 {
+			w.put(uint64(t>>8), uint(n))
+		}
+	}
+	for _, s := range sections[b.from:b.to] {
+		for _, c := range s {
+			w.put(uint64(b.litCode[c]), uint(b.lit[c]))
+		}
+	}
+	w.put(uint64(b.litCode[endOfBlock]), uint(b.lit[endOfBlock]))
 }
 
 // bitWriter packs deflate's LSB-first bit stream into out. A flush stores 8

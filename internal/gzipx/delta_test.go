@@ -9,17 +9,20 @@ import (
 	"testing"
 )
 
-// encodeDelta writes data's member whether or not it shrinks data, and checks
-// it against the planned size.
-func encodeDelta(t testing.TB, data []byte) ([]byte, *deltaCoder) {
+// encodeDelta writes the sections' member whether or not it shrinks them,
+// and checks it against the planned size.
+func encodeDelta(t testing.TB, sections ...[]byte) ([]byte, *deltaMember) {
 	t.Helper()
-	var c deltaCoder
-	size := c.plan(data)
-	out := c.write(nil, data, size)
+	var m deltaMember
+	size, raw := m.plan(sections)
+	if m.nblocks == 0 {
+		return nil, &m
+	}
+	out := m.write(nil, sections, size, raw)
 	if len(out) != size || cap(out) != size {
 		t.Fatalf("member is %d bytes (cap %d), planned %d", len(out), cap(out), size)
 	}
-	return out, &c
+	return out, &m
 }
 
 // checkInflates inflates member through compress/gzip and AppendDecompress.
@@ -76,10 +79,12 @@ func TestAppendDeltaCases(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			member, c := encodeDelta(t, tc.data)
-			checkInflates(t, member, tc.data)
-			if tc.name == "Fibonacci counts" && slices.Max(c.lit[:]) != maxLitBits {
-				t.Errorf("longest literal code is %d bits: the length limiter did not run", slices.Max(c.lit[:]))
+			member, m := encodeDelta(t, tc.data)
+			if len(tc.data) > 0 {
+				checkInflates(t, member, tc.data)
+			}
+			if tc.name == "Fibonacci counts" && slices.Max(m.blocks[0].lit[:]) != maxLitBits {
+				t.Errorf("longest literal code is %d bits: the length limiter did not run", slices.Max(m.blocks[0].lit[:]))
 			}
 			got := AppendDelta([]byte("dst"), tc.data)
 			switch {
@@ -89,6 +94,80 @@ func TestAppendDeltaCases(t *testing.T) {
 				t.Errorf("AppendDelta output differs from the planned member")
 			}
 		})
+	}
+}
+
+// A member of several blocks — one per non-empty section, the last holding
+// whatever sections are left past maxBlocks — inflates byte-exact through
+// both readers and is exactly its planned size, for sections of 0, 1, 2 and
+// 100 KiB and a length-limited Fibonacci histogram, in every order.
+func TestAppendDeltaSections(t *testing.T) {
+	rng := rand.New(rand.NewPCG(7, 8))
+	big := make([]byte, 100<<10)
+	for i := range big {
+		big[i] = byte(rng.IntN(16) * rng.IntN(16))
+	}
+	parts := [][]byte{nil, {'x'}, []byte("ab"), big, fibonacci(24)}
+	var sections [][][]byte
+	for _, a := range parts {
+		for _, b := range parts {
+			for _, c := range parts {
+				sections = append(sections, [][]byte{a, b, c})
+			}
+		}
+	}
+	sections = append(sections, append(slices.Clone(parts), parts...)) // past maxBlocks
+	for _, secs := range sections {
+		whole := bytes.Join(secs, nil)
+		member, m := encodeDelta(t, secs...)
+		if len(whole) == 0 {
+			if m.nblocks != 0 || string(AppendDelta([]byte("dst"), secs...)) != "dst" {
+				t.Fatal("empty sections were coded")
+			}
+			continue
+		}
+		nonEmpty := 0
+		for _, s := range secs {
+			if len(s) > 0 {
+				nonEmpty++
+			}
+		}
+		if m.nblocks != min(nonEmpty, maxBlocks) {
+			t.Fatalf("%d non-empty sections in %d blocks", nonEmpty, m.nblocks)
+		}
+		checkInflates(t, member, whole)
+		got := AppendDelta([]byte("dst"), secs...)
+		want := []byte("dst")
+		if len(member) < len(whole) {
+			want = append(want, member...)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("AppendDelta returned %d bytes, want %d", len(got), len(want))
+		}
+		if fresh := AppendDelta(nil, secs...); len(fresh) > 0 && cap(fresh) != len(fresh) {
+			t.Fatalf("member of %d bytes has cap %d", len(fresh), cap(fresh))
+		}
+	}
+}
+
+// Coding distinct distributions apart beats one code over their
+// concatenation when each section is big enough to pay for its header.
+func TestAppendDeltaSectionsBeatOneBlock(t *testing.T) {
+	rng := rand.New(rand.NewPCG(9, 10))
+	text, ops, addrs := make([]byte, 1500), make([]byte, 1200), make([]byte, 900)
+	for i := range text {
+		text[i] = "<div class=\"price\">abcdefghij</div>\n"[rng.IntN(36)]
+	}
+	for i := range ops {
+		ops[i] = byte(rng.IntN(3) * rng.IntN(40))
+	}
+	for i := range addrs {
+		addrs[i] = byte(128 + rng.IntN(128))
+	}
+	apart := len(AppendDelta(nil, text, ops, addrs))
+	one := len(AppendDelta(nil, bytes.Join([][]byte{text, ops, addrs}, nil)))
+	if apart == 0 || apart >= one {
+		t.Errorf("three blocks: %d bytes, one block: %d", apart, one)
 	}
 }
 
@@ -145,10 +224,21 @@ func FuzzAppendDelta(f *testing.F) {
 	f.Add([]byte("hello world hello world"))
 	f.Add(bytes.Repeat([]byte{0}, 4096))
 	f.Add(fibonacci(20))
+	f.Add([]byte("hello world hello world, the second section"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		member, _ := encodeDelta(t, data)
-		checkInflates(t, member, data)
-		got := AppendDelta([]byte("dst"), data)
+		// Cut data into up to three sections at points drawn from its
+		// length, so the fuzzer explores multi-block members too.
+		cut1, cut2 := len(data)/3, len(data)*2/3
+		if len(data) > 0 {
+			cut1, cut2 = int(data[0])%(len(data)+1), int(data[len(data)-1])%(len(data)+1)
+		}
+		cut1, cut2 = min(cut1, cut2), max(cut1, cut2)
+		secs := [][]byte{data[:cut1], data[cut1:cut2], data[cut2:]}
+		member, _ := encodeDelta(t, secs...)
+		if len(data) > 0 {
+			checkInflates(t, member, data)
+		}
+		got := AppendDelta([]byte("dst"), secs...)
 		want := []byte("dst")
 		if len(member) < len(data) {
 			want = append(want, member...)

@@ -6,7 +6,7 @@
 // Layout: a spill directory holds numbered segment files
 // (spill-00000001.seg, ...). Each record is framed as
 //
-//	magic "CBS3" | uvarint payloadLen | crc32(payload) LE | payload
+//	magic "CBS4" | uvarint payloadLen | crc32(payload) LE | payload
 //
 // with the payload encoded by the blob codec (blob.go). An in-memory
 // index maps key → (segment, offset, length) for O(1) lookup; the latest
@@ -21,8 +21,8 @@
 // crash mid-spill — stops that segment's scan at the last intact record;
 // the torn record's class simply degrades to full responses and re-warms
 // from traffic, exactly like a plain eviction. So does every class of a
-// segment written under another magic (an older build's "CBS2", whose graph
-// edges are deltas this build's codec rejects): the scan stops at its first
+// segment written under another magic (an older build's "CBS3", whose graph
+// edges are interleaved "VD02" deltas this build's codec rejects): the scan stops at its first
 // record and the segment is deleted on the next append.
 //
 // Segments recovered from disk are sealed: appends always go to a fresh
@@ -57,7 +57,7 @@ import (
 const GroupingKey = "\x00grouping"
 
 const (
-	spillMagic          = "CBS3"
+	spillMagic          = "CBS4"
 	segmentPattern      = "spill-%08d.seg"
 	defaultSegmentBytes = 4 << 20
 	maxSpillPayload     = 1 << 30

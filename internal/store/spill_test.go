@@ -421,7 +421,7 @@ func TestTierIgnoresOlderMagic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	old := bytes.ReplaceAll(seg, []byte(spillMagic), []byte("CBS2"))
+	old := bytes.ReplaceAll(seg, []byte(spillMagic), []byte("CBS3"))
 	if bytes.Equal(old, seg) {
 		t.Fatal("segment does not carry the current magic")
 	}
@@ -431,12 +431,12 @@ func TestTierIgnoresOlderMagic(t *testing.T) {
 
 	tier2, err := OpenTier(TierConfig{Dir: dir})
 	if err != nil {
-		t.Fatalf("a CBS2 directory must open as empty, got %v", err)
+		t.Fatalf("a CBS3 directory must open as empty, got %v", err)
 	}
 	defer tier2.Close()
 	st := tier2.Stats()
 	if tier2.Len() != 0 || st.DiskBytes != 0 || st.Errors != 0 || st.SkippedSegments != 1 {
-		t.Fatalf("after opening a CBS2 segment: len %d, %+v", tier2.Len(), st)
+		t.Fatalf("after opening a CBS3 segment: len %d, %+v", tier2.Len(), st)
 	}
 	if _, ok := tier2.Get("class#a"); ok {
 		t.Fatal("a record under the old magic was served")

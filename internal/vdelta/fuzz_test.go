@@ -16,30 +16,48 @@ func FuzzDecode(f *testing.F) {
 	}
 	f.Add(good)
 	f.Add([]byte{})
-	f.Add([]byte("VD02"))
-	f.Add(append([]byte("VD01"), good[4:]...)) // an older build's magic on an otherwise good delta
-	f.Add(good[:len(good)/2])
+	f.Add(append([]byte("VD02"), good[4:]...)) // an older build's magic on an otherwise good delta
+	f.Add(good[:len(good)/2])                  // truncated mid-section
+	for _, s := range sectionSeeds() {
+		if d, err := Encode(s[0], s[1]); err == nil {
+			f.Add(d)
+		}
+	}
 
-	// Hand-built wire-format seeds (no checksum flag, single-byte length
-	// varints) targeting decoder edge cases the encoder never emits.
-	hdr := []byte{magic0, magic1, magic2, magic3, 0, byte(len(base))}
+	// Hand-built wire-format seeds (no checksum flag) targeting decoder edge
+	// cases the encoder never emits.
+	n := len(base)
 	// COPY whose length varint never terminates (continuation bit set at
 	// end of input).
-	f.Add(append(append([]byte(nil), hdr...), 8, opCopy, 0x80))
+	f.Add([]byte{magic0, magic1, magic2, magic3, 0, byte(n), 8, 0, 2, 1, opCopy, 0x80, 0})
 	// ADD whose length varint is all continuation bytes.
-	f.Add(append(append([]byte(nil), hdr...), 8, opAdd, 0xFF, 0xFF, 0xFF))
+	f.Add([]byte{magic0, magic1, magic2, magic3, 0, byte(n), 8, 0, 4, 0, opAdd, 0xFF, 0xFF, 0xFF})
 	// Overlapping target self-copy: ADD one byte, then COPY 8 bytes from a
 	// target prefix holding only that byte — run-length behaviour that must
 	// reconstruct byte-by-byte, never over-read.
-	f.Add(append(append([]byte(nil), hdr...), 9, opAdd, 1, 'x', opCopy, byte(len(base)), 8, opEnd))
+	f.Add(handDelta(plain(n, 9), add("x"), copyOp(n, 8)))
 	// Target self-copy starting at a not-yet-written offset: must error.
-	f.Add(append(append([]byte(nil), hdr...), 9, opAdd, 1, 'x', opCopy, byte(len(base)+5), 4, opEnd))
+	f.Add(handDelta(plain(n, 9), add("x"), copyOp(n+5, 4)))
 
 	f.Fuzz(func(t *testing.T, delta []byte) {
 		_, _ = Decode(base, delta)
-		_, _ = Stats(delta)
 		_, _, _, _ = Ops(delta)
+		if s := Sections(delta); !bytes.Equal(bytes.Join(s[:], nil), delta) {
+			t.Fatal("sections do not concatenate to the delta")
+		}
 	})
+}
+
+// sectionSeeds are (base, target) pairs whose deltas leave a section of the
+// layout empty or nearly so.
+func sectionSeeds() [][2][]byte {
+	text := []byte("a base-file whose text the target copies whole")
+	return [][2][]byte{
+		{text, text}, // one COPY: empty data section
+		{[]byte("unrelated"), []byte("fresh literal text only")}, // no COPY: empty address section
+		{text, []byte("a b")},                              // a target shorter than a chunk
+		{text, append([]byte("new lead, "), text[:20]...)}, // ADD then COPY
+	}
 }
 
 // FuzzRoundTrip checks the fundamental codec property on arbitrary inputs.
@@ -51,6 +69,9 @@ func FuzzRoundTrip(f *testing.F) {
 	// Maximal self-overlap: a long single-byte run encodes as one ADD plus
 	// an overlapping target self-copy.
 	f.Add([]byte("x"), bytes.Repeat([]byte("x"), 500))
+	for _, s := range sectionSeeds() {
+		f.Add(s[0], s[1])
+	}
 	c := NewCoder()
 	f.Fuzz(func(t *testing.T, base, target []byte) {
 		delta, err := Encode(base, target)

@@ -2,7 +2,6 @@ package vdelta
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
 	"math/rand/v2"
 	"strings"
@@ -56,6 +55,16 @@ func hintSeeds(t testing.TB) [][3][]byte {
 		t.Fatal(err)
 	}
 	seeds = append(seeds, [3][]byte{ab, abDelta, []byte("some more text, a base with some text!")})
+	// The sectioned layout's corner cases: prev's delta has no literals, or
+	// no COPY, or is cut off inside a section; a target below one chunk.
+	for _, s := range sectionSeeds() {
+		seeds = append(seeds, [3][]byte{s[0], s[1], s[1]}, [3][]byte{s[0], s[1], append(bytes.Clone(s[1]), '!')})
+	}
+	cut, err := Encode(ab, []byte("and some more text to copy from, a base"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	seeds = append(seeds, [3][]byte{ab, cut[:len(cut)-3], []byte("and some more text to copy from")})
 	// Random documents: prev is an edited base, target is prev with one
 	// more edit in the middle.
 	rng := rand.New(rand.NewPCG(26, 1))
@@ -90,10 +99,7 @@ func checkHinted(t *testing.T, c *Coder, base, prev, target []byte) {
 	}
 	// A self-copy of the whole target from its own first byte: well formed,
 	// but it reads bytes not yet written, so it must not replay.
-	forged := binary.AppendUvarint([]byte{magic0, magic1, magic2, magic3, 0}, uint64(len(base)))
-	forged = binary.AppendUvarint(forged, uint64(len(target)))
-	forged = binary.AppendUvarint(append(forged, opCopy), uint64(len(base)))
-	forged = append(binary.AppendUvarint(forged, uint64(len(target))), opEnd)
+	forged := handDelta(plain(len(base), len(target)), copyOp(len(base), len(target)))
 	hints := map[string][]byte{
 		"prev":             prevDelta,
 		"truncated":        prevDelta[:len(prevDelta)/2],
@@ -272,15 +278,7 @@ func TestDecodeTargetSelfCopy(t *testing.T) {
 			for i := 0; i < length; i++ {
 				want = append(want, want[from+i])
 			}
-			delta := []byte{magic0, magic1, magic2, magic3, 0}
-			delta = binary.AppendUvarint(delta, uint64(len(base)))
-			delta = binary.AppendUvarint(delta, uint64(len(want)))
-			delta = append(delta, opAdd, byte(len(prefix)))
-			delta = append(delta, prefix...)
-			delta = append(delta, opCopy)
-			delta = binary.AppendUvarint(delta, uint64(len(base)+from))
-			delta = binary.AppendUvarint(delta, uint64(length))
-			delta = append(delta, opEnd)
+			delta := handDelta(plain(len(base), len(want)), add(string(prefix)), copyOp(len(base)+from, length))
 			got, err := Decode(base, delta)
 			if err != nil {
 				t.Fatalf("distance %d, length %d: %v", dist, length, err)

@@ -47,7 +47,7 @@ func (ix *Index) Len() int { return len(ix.base) }
 
 // EncodeIndexed computes the delta that transforms the indexed base into
 // target, skipping the per-call base indexing that Encode performs. All
-// per-call scratch (target index, output buffer) comes from the Coder's
+// per-call scratch (target index, section buffers) comes from the Coder's
 // pool, so on a warm pool the only allocation is the returned delta, which
 // the caller owns.
 func (c *Coder) EncodeIndexed(ix *Index, target []byte) ([]byte, error) {
@@ -56,12 +56,9 @@ func (c *Coder) EncodeIndexed(ix *Index, target []byte) ([]byte, error) {
 	}
 	st := c.getState()
 	defer c.pool.Put(st)
-	enc := c.newEncoder(st, ix.base, &ix.idx, target, st.out[:0])
-	out, _ := enc.run(nil)
-	st.out = out // retain the grown scratch for the next encode
-	delta := make([]byte, len(out))
-	copy(delta, out)
-	return delta, nil
+	enc := c.newEncoder(st, ix.base, &ix.idx, target)
+	enc.run(nil)
+	return enc.appendDelta(nil), nil
 }
 
 // EncodeIndexedInto is EncodeIndexed writing the delta into dst's storage
@@ -86,7 +83,7 @@ func (c *Coder) EncodeHintedInto(ix *Index, target, hint, dst []byte) ([]byte, i
 	}
 	st := c.getState()
 	defer c.pool.Put(st)
-	enc := c.newEncoder(st, ix.base, &ix.idx, target, dst[:0])
-	delta, replayed := enc.run(hint)
-	return delta, replayed, nil
+	enc := c.newEncoder(st, ix.base, &ix.idx, target)
+	replayed := enc.run(hint)
+	return enc.appendDelta(dst[:0]), replayed, nil
 }

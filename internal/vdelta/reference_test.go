@@ -12,7 +12,6 @@ package vdelta
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
 	"math/rand/v2"
 	"testing"
@@ -58,7 +57,7 @@ type refEncoder struct {
 	baseIdx   *refIndex
 	targetIdx *refIndex
 
-	out      []byte
+	ops      []Op
 	litStart int
 	pos      int
 }
@@ -82,19 +81,6 @@ func (e *refEncoder) run() []byte {
 	base, target := e.base, e.target
 	w := e.cfg.chunkSize
 
-	e.out = make([]byte, 0, len(target)/4+32)
-	e.out = append(e.out, magic0, magic1, magic2, magic3)
-	var flags byte
-	if e.cfg.checksum {
-		flags |= flagChecksum
-	}
-	e.out = append(e.out, flags)
-	e.out = binary.AppendUvarint(e.out, uint64(len(base)))
-	e.out = binary.AppendUvarint(e.out, uint64(len(target)))
-	if e.cfg.checksum {
-		e.out = binary.BigEndian.AppendUint32(e.out, checksumOf(target))
-	}
-
 	for e.pos+w <= len(target) {
 		h := hashChunk(target, e.pos, w)
 		var best match
@@ -112,9 +98,7 @@ func (e *refEncoder) run() []byte {
 		}
 		if best.length >= e.cfg.minMatch {
 			e.flushLiterals(e.pos - best.back)
-			e.out = append(e.out, opCopy)
-			e.out = binary.AppendUvarint(e.out, uint64(best.start))
-			e.out = binary.AppendUvarint(e.out, uint64(best.length))
+			e.ops = append(e.ops, copyOp(best.start, best.length))
 			if e.targetIdx != nil {
 				to := e.pos - best.back + best.length
 				for i := e.pos; i+w <= to && i+w <= len(target); i += w {
@@ -131,18 +115,18 @@ func (e *refEncoder) run() []byte {
 		e.pos++
 	}
 	e.flushLiterals(len(target))
-	e.out = append(e.out, opEnd)
-	return e.out
+	h := header{baseLen: len(base), targetLen: len(target), hasChecksum: e.cfg.checksum}
+	if h.hasChecksum {
+		h.checksum = checksumOf(target)
+	}
+	return handDelta(h, e.ops...)
 }
 
 func (e *refEncoder) flushLiterals(upto int) {
 	if upto <= e.litStart {
 		return
 	}
-	lit := e.target[e.litStart:upto]
-	e.out = append(e.out, opAdd)
-	e.out = binary.AppendUvarint(e.out, uint64(len(lit)))
-	e.out = append(e.out, lit...)
+	e.ops = append(e.ops, add(string(e.target[e.litStart:upto])))
 	e.litStart = upto
 }
 

