@@ -31,7 +31,6 @@ func run(args []string) error {
 		paths    = fs.String("paths", "/laptops/0", "comma-separated document paths")
 		clients  = fs.Int("clients", 8, "concurrent delta-capable clients")
 		requests = fs.Int("requests", 50, "requests per client")
-		vcdiff   = fs.Bool("vcdiff", false, "request RFC 3284 VCDIFF payloads")
 		verify   = fs.Bool("verify", false, "byte-compare every reconstruction against a plain re-fetch; exit non-zero on mismatch")
 		repeat   = fs.Float64("repeat", 0, "fraction of requests repeating the previous path (0..1); exercises the delta memo cache")
 		lag      = fs.Float64("lag", 0, "mean client staleness in versions (geometric); clients refresh base-files behind latest and exercise the server's version graph")
@@ -58,7 +57,6 @@ func run(args []string) error {
 		Paths:             pathList,
 		Clients:           *clients,
 		RequestsPerClient: *requests,
-		VCDIFF:            *vcdiff,
 		Verify:            *verify,
 		RepeatRatio:       *repeat,
 		LagMean:           *lag,

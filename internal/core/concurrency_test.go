@@ -49,8 +49,8 @@ func newStressClient(t *testing.T, e *Engine, user string) *stressClient {
 //     (its calls to one class are sequential, and distVersion is monotone);
 //   - a base fetched after the response is at least as new as the version
 //     the response announced.
-func (c *stressClient) request(url string, doc []byte, format Format) {
-	req := Request{URL: url, UserID: c.user, Doc: doc, Format: format}
+func (c *stressClient) request(url string, doc []byte) {
+	req := Request{URL: url, UserID: c.user, Doc: doc}
 	for id, hb := range c.held {
 		req.Held = append(req.Held, HeldBase{ClassID: id, Version: hb.version})
 	}
@@ -181,11 +181,7 @@ func TestConcurrentProcessStress(t *testing.T) {
 				item := i % 3
 				url := fmt.Sprintf("www.shop.com/%s/%d", depts[c], item)
 				doc := renderDoc(depts[c], item, i, cl.user)
-				format := FormatVdelta
-				if i%4 == 3 {
-					format = FormatVCDIFF
-				}
-				cl.request(url, doc, format)
+				cl.request(url, doc)
 				if i%7 == 0 {
 					// Random-ish base fetches, including versions that may
 					// have been pruned: must return cleanly either way.
@@ -244,7 +240,7 @@ func TestConcurrentBasicRebaseStress(t *testing.T) {
 				family := uint64(i/2) % 2
 				doc := append(incompressible(3+family*17, 4096),
 					[]byte(fmt.Sprintf("<user %s seq %d>", cl.user, i))...)
-				cl.request(url, doc, FormatVdelta)
+				cl.request(url, doc)
 			}
 		}(g)
 	}
@@ -363,14 +359,9 @@ func TestConcurrentPayloadAliasingStress(t *testing.T) {
 				dept := fmt.Sprintf("alias%d", c)
 				user := fmt.Sprintf("client-%d", g)
 				doc := renderDoc(dept, 0, 100+g*requests+i, user)
-				format := FormatVdelta
-				if i%5 == 4 {
-					format = FormatVCDIFF
-				}
 				resp, err := e.Process(Request{
 					URL: fmt.Sprintf("www.shop.com/%s/%d", dept, 0), UserID: user, Doc: doc,
 					HaveClassID: wb.classID, HaveVersion: wb.version,
-					Format: format,
 				})
 				if err != nil {
 					t.Errorf("Process: %v", err)

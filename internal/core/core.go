@@ -40,7 +40,6 @@ import (
 	"cbde/internal/obs"
 	"cbde/internal/store"
 	"cbde/internal/urlparts"
-	"cbde/internal/vcdiff"
 	"cbde/internal/vdelta"
 )
 
@@ -165,14 +164,12 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Format selects the delta wire format for a response.
+// Format is the delta wire format of a response.
 type Format int
 
 const (
-	// FormatVdelta is the internal vdelta instruction stream (default).
+	// FormatVdelta is one vdelta delta against the base the client holds.
 	FormatVdelta Format = iota + 1
-	// FormatVCDIFF is the RFC 3284 interchange format (reference [12]).
-	FormatVCDIFF
 	// FormatVdeltaChain is a framed sequence of vdelta deltas the client
 	// applies in order from the base version it holds: each cached edge
 	// delta rewrites one retained version into the next, and the final
@@ -186,8 +183,6 @@ func (f Format) String() string {
 	switch f {
 	case FormatVdelta:
 		return "vdelta"
-	case FormatVCDIFF:
-		return "vcdiff"
 	case FormatVdeltaChain:
 		return "vdelta-chain"
 	default:
@@ -229,10 +224,6 @@ type Request struct {
 	// and tracing is enabled, the finished Summary carries it and the
 	// process-duration histogram records the trace ID as an exemplar.
 	TraceCtx obs.TraceContext
-
-	// Format selects the delta wire format (zero value: FormatVdelta).
-	// Clients that implement RFC 3284 request FormatVCDIFF.
-	Format Format
 }
 
 // forEachHeldVersion calls fn with every version of classID the client
@@ -477,7 +468,7 @@ type classState struct {
 	// deltas memoizes the class's encoded deltas (nil when disabled). It
 	// has its own lock, taken after cs.mu when both are needed; its
 	// payloads are immutable and shared with responses by aliasing. Every
-	// install, prune, evict, and anonymization-epoch bump purges it.
+	// install, prune and evict purges it.
 	deltas *deltacache.Cache
 
 	// evicted marks the class degraded by budget maintenance: no resident
@@ -689,13 +680,9 @@ type Engine struct {
 	// either a fresh gzip output or a fresh copy of the scratch.
 	encBufs sync.Pool
 
-	// anonEpoch is the engine-wide anonymization epoch. Bumping it (see
-	// BumpAnonEpoch) invalidates every memoized delta: cached payloads
-	// embed anonymized base content, so a policy change must not let them
-	// outlive it. docSeed keys the per-request document fingerprint used in
-	// memo-cache keys.
-	anonEpoch atomic.Uint64
-	docSeed   maphash.Seed
+	// docSeed keys the per-request document fingerprint used in memo-cache
+	// keys.
+	docSeed maphash.Seed
 
 	reg *metrics.Registry
 	ctr hotCounters
@@ -891,9 +878,6 @@ func (e *Engine) states() []*classState {
 func (e *Engine) Process(req Request) (Response, error) {
 	if req.Doc == nil {
 		return Response{}, ErrNoDocument
-	}
-	if req.Format == 0 {
-		req.Format = FormatVdelta
 	}
 	now := e.cfg.Now()
 	// tr is nil when tracing is disabled; every tr method below is then a
@@ -1282,7 +1266,7 @@ func (e *Engine) Stats() Stats {
 // Decode reconstructs a document from a base-file and a vdelta response
 // payload, undoing gzip when the response says so. It is what a
 // delta-capable client runs; the engine exposes it so callers need not know
-// the codec config. For VCDIFF responses use DecodeAs.
+// the codec config. For chained responses use DecodeAs.
 func (e *Engine) Decode(base, payload []byte, gzipped bool) ([]byte, error) {
 	return e.DecodeAs(base, payload, gzipped, FormatVdelta)
 }
@@ -1321,13 +1305,7 @@ func (e *Engine) DecodeAs(base, payload []byte, gzipped bool, format Format) ([]
 		}
 		return cur, nil
 	}
-	var doc []byte
-	var err error
-	if format == FormatVCDIFF {
-		doc, err = vcdiff.Decode(base, delta)
-	} else {
-		doc, err = e.coder.Decode(base, delta)
-	}
+	doc, err := e.coder.Decode(base, delta)
 	if err != nil {
 		return nil, fmt.Errorf("core: apply delta: %w", err)
 	}
@@ -1338,27 +1316,6 @@ func (e *Engine) DecodeAs(base, payload []byte, gzipped bool, format Format) ([]
 // category, the budget, resident versus total classes, and the recent
 // prune/evict log. The delta-server's /_cbde/store endpoint serves it.
 func (e *Engine) StoreStats() store.Stats { return e.cstore.Stats() }
-
-// BumpAnonEpoch advances the engine-wide anonymization epoch and purges
-// every class's memoized deltas, version-graph edges and replay hints. Call
-// it when the anonymization policy (or any input to it) changes out-of-band:
-// cached payloads and edge deltas embed anonymized base content and must not
-// survive the change. Delta purging is eager here and also lazy at lookup
-// (the epoch is checked on every cache acquire), so a cache that misses the
-// eager sweep — e.g. a class created concurrently — still never serves a
-// pre-bump payload; edges and hints are swept eagerly under the class lock.
-func (e *Engine) BumpAnonEpoch() {
-	e.anonEpoch.Add(1)
-	for _, cs := range e.states() {
-		cs.mu.Lock()
-		cs.dropEdgesLocked()
-		for _, bv := range cs.bases {
-			bv.dropHints()
-		}
-		cs.mu.Unlock()
-		cs.purgeDeltas()
-	}
-}
 
 // DeltaCacheStats aggregates the per-class delta memo caches for
 // reporting: the delta-server's /_cbde/store endpoint serves it alongside

@@ -10,10 +10,10 @@ import (
 )
 
 // FuzzEngineDecode hardens the client-facing decode path — gzip unwrap plus
-// either wire format — against arbitrary response payloads: it must return
-// an error or a document, never panic, whatever bytes a hostile or corrupt
-// delta-server hands a client. Seeds cover valid payloads of both formats,
-// gzipped and plain, plus truncations.
+// vdelta decode — against arbitrary response payloads: it must return an
+// error or a document, never panic, whatever bytes a hostile or corrupt
+// delta-server hands a client. Seeds cover valid payloads, gzipped and
+// plain, truncations and another format's payloads.
 func FuzzEngineDecode(f *testing.F) {
 	e, err := NewEngine(Config{})
 	if err != nil {
@@ -25,27 +25,24 @@ func FuzzEngineDecode(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
+	// Another format's payload (RFC 3284 VCDIFF), as a misrouted response.
 	vc, err := vcdiff.Encode(base, target)
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(base, vd, false, false)
-	f.Add(base, gzipx.Compress(vd), true, false)
-	f.Add(base, vc, false, true)
-	f.Add(base, gzipx.Compress(vc), true, true)
-	f.Add([]byte{}, []byte{}, false, false)
-	f.Add(base, vd[:len(vd)/2], false, false)
-	f.Add(base, vc[:len(vc)/2], false, true)
-	f.Add(base, gzipx.Compress(vd), false, false) // gzip bytes decoded as raw delta
+	f.Add(base, vd, false)
+	f.Add(base, gzipx.Compress(vd), true)
+	f.Add(base, vc, false)
+	f.Add(base, gzipx.Compress(vc), true)
+	f.Add([]byte{}, []byte{}, false)
+	f.Add(base, vd[:len(vd)/2], false)
+	f.Add(base, vc[:len(vc)/2], false)
+	f.Add(base, gzipx.Compress(vd), false) // gzip bytes decoded as raw delta
 
-	f.Fuzz(func(t *testing.T, base, payload []byte, gzipped, useVCDIFF bool) {
-		format := FormatVdelta
-		if useVCDIFF {
-			format = FormatVCDIFF
-		}
-		doc, err := e.DecodeAs(base, payload, gzipped, format)
+	f.Fuzz(func(t *testing.T, base, payload []byte, gzipped bool) {
+		doc, err := e.Decode(base, payload, gzipped)
 		if err != nil && doc != nil {
-			t.Fatalf("DecodeAs returned both a document (%d bytes) and error %v", len(doc), err)
+			t.Fatalf("Decode returned both a document (%d bytes) and error %v", len(doc), err)
 		}
 	})
 }

@@ -18,7 +18,7 @@
 //     responses alias them, exactly like baseVersion bytes and memo-cache
 //     payloads.
 //   - Every byte is accounted under the store ledger's "edge" kind, so
-//     -mem-budget governs the graph and prune/evict/epoch-bump drain it.
+//     -mem-budget governs the graph and prune/evict drain it.
 package core
 
 // versionEdge is one cached delta between adjacent retained base versions:

@@ -294,21 +294,6 @@ func TestGraphSpillRestoresEdges(t *testing.T) {
 	}
 }
 
-// TestGraphEdgesPurgedOnAnonEpochBump: edges embed distributed content, so
-// an anonymization epoch bump must drain them like the memo cache.
-func TestGraphEdgesPurgedOnAnonEpochBump(t *testing.T) {
-	e := graphEngine(t, 4, Config{})
-	classID, _ := driveGenerations(t, e, 4)
-	if st, _ := e.ClassStats(classID); st.GraphEdges == 0 {
-		t.Fatal("want resident edges before epoch bump")
-	}
-	e.BumpAnonEpoch()
-	st, _ := e.ClassStats(classID)
-	if st.GraphEdges != 0 || st.GraphEdgeBytes != 0 {
-		t.Fatalf("after epoch bump: %d edges (%d bytes), want none", st.GraphEdges, st.GraphEdgeBytes)
-	}
-}
-
 // TestGraphStridedResiduesGetNoCrossEdges: with cluster striding, versions
 // from another node's residue class must never be chained over.
 func TestGraphStridedResiduesGetNoCrossEdges(t *testing.T) {

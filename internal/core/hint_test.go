@@ -134,7 +134,7 @@ func TestHintsUnderConcurrentUsers(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				c.request(hintURL, doc, FormatVdelta)
+				c.request(hintURL, doc)
 			}
 		}(u)
 	}
@@ -242,27 +242,5 @@ func TestHintStaysWithItsVersion(t *testing.T) {
 	}
 	if _, _, replayed := serveDelta(t, e, site, held, "user-d", 1); replayed == 0 {
 		t.Errorf("v%d's own hint was lost when v%d installed", held.Version, next)
-	}
-}
-
-// TestAnonEpochBumpDropsHints checks that an anonymization-epoch bump drops
-// every hint — their bytes leave the ledger and the next encode searches
-// from scratch.
-func TestAnonEpochBumpDropsHints(t *testing.T) {
-	site := hintSite(2)
-	e, held := hintEngine(t, site)
-	serveDelta(t, e, site, held, "user-a", 1)
-	if e.DeltaCacheStats().HintBytes == 0 {
-		t.Fatal("no hint recorded by a delta encode")
-	}
-	e.BumpAnonEpoch()
-	if dc := e.DeltaCacheStats(); dc.HintBytes != 0 {
-		t.Errorf("%d hint bytes survive the epoch bump", dc.HintBytes)
-	}
-	if got := e.StoreStats().Resident.DeltaBytes; got != 0 {
-		t.Errorf("delta ledger = %d after the epoch bump, want 0", got)
-	}
-	if _, _, replayed := serveDelta(t, e, site, held, "user-b", 1); replayed != 0 {
-		t.Errorf("first encode after the bump replayed %d bytes", replayed)
 	}
 }

@@ -225,7 +225,7 @@ func TestMemoCoalescingStressSingleEncode(t *testing.T) {
 }
 
 // TestMemoInvalidation drives every invalidation barrier — version
-// install, basic rebase, class eviction, anonymization-epoch bump — and
+// install, basic rebase, class eviction — and
 // checks that the cache empties, the next request re-leads (no stale hit),
 // and the delta then served decodes against the live base it names.
 func TestMemoInvalidation(t *testing.T) {
@@ -276,13 +276,6 @@ func TestMemoInvalidation(t *testing.T) {
 				}
 				cs.Evict()
 				return false
-			},
-		},
-		{
-			name: "anon epoch bump",
-			mutate: func(t *testing.T, e *Engine, req Request) bool {
-				e.BumpAnonEpoch()
-				return true
 			},
 		},
 	}

@@ -190,8 +190,8 @@ func TestProcessReachesEveryFullReason(t *testing.T) {
 		cs, _ := e.lookup(req.HaveClassID)
 		// Lead the request's memo key, let Process coalesce onto it, then
 		// commit a failed encode: the sharer reports the leader's reason.
-		key := deltacache.Key{From: req.HaveVersion, DocHash: maphash.Bytes(e.docSeed, req.Doc), DocLen: len(req.Doc), Format: uint8(FormatVdelta)}
-		_, fl, st := cs.deltas.Acquire(key, e.anonEpoch.Load())
+		key := deltacache.Key{From: req.HaveVersion, DocHash: maphash.Bytes(e.docSeed, req.Doc), DocLen: len(req.Doc)}
+		_, fl, st := cs.deltas.Acquire(key)
 		if st != deltacache.StatusLead {
 			t.Fatalf("acquire = %v, want lead", st)
 		}

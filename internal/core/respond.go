@@ -12,7 +12,6 @@ import (
 	"cbde/internal/deltahttp"
 	"cbde/internal/gzipx"
 	"cbde/internal/obs"
-	"cbde/internal/vcdiff"
 	"cbde/internal/vdelta"
 )
 
@@ -70,8 +69,7 @@ type encodeSnapshot struct {
 	// chain, when non-nil, is the version graph's edge walk from
 	// clientVersion up to distVersion, and tipBase is the current version's
 	// base — the composed-chain alternative to encoding directly against
-	// base. nil when the client is current, the walk is broken, or the
-	// client asked for VCDIFF (chains are vdelta framing).
+	// base. nil when the client is current or the walk is broken.
 	chain   []*versionEdge
 	tipBase *baseVersion
 }
@@ -91,7 +89,7 @@ func (cs *classState) snapshotLocked(req Request) encodeSnapshot {
 			snap.clientVersion, snap.base = v, bv
 		}
 	})
-	if snap.base == nil || snap.clientVersion == cs.distVersion || req.Format == FormatVCDIFF {
+	if snap.base == nil || snap.clientVersion == cs.distVersion {
 		return snap
 	}
 	// Walk the edges from the client's version toward the current one. A
@@ -176,10 +174,8 @@ func decide(s encodeSnapshot, docLen int, maxRatio float64, est chainEstimate) R
 //
 // The memo key fingerprints the document content, so two requests share a
 // result only when they hold the same base version and carry byte-equal
-// documents in the same wire format. A chain is keyed by its explicit
-// (From, To) edge, so every client at the same depth shares one assembly;
-// a direct encode has To 0. The anonymization epoch guards the whole cache
-// (see deltacache.Cache.Acquire).
+// documents. A chain is keyed by its explicit (From, To) edge, so every
+// client at the same depth shares one assembly; a direct encode has To 0.
 func (e *Engine) encode(cs *classState, snap encodeSnapshot, req Request, plan Reason, now time.Time, tr *obs.Trace) Response {
 	if cs.deltas == nil {
 		return e.encodePlan(cs, snap, req, plan, now, tr)
@@ -189,12 +185,11 @@ func (e *Engine) encode(cs *classState, snap encodeSnapshot, req Request, plan R
 		From:    snap.clientVersion,
 		DocHash: maphash.Bytes(e.docSeed, req.Doc),
 		DocLen:  len(req.Doc),
-		Format:  uint8(req.Format),
 	}
 	if plan == ReasonChain {
-		key.To, key.Format = snap.distVersion, uint8(FormatVdeltaChain)
+		key.To = snap.distVersion
 	}
-	res, fl, st := cs.deltas.Acquire(key, e.anonEpoch.Load())
+	res, fl, st := cs.deltas.Acquire(key)
 	switch st {
 	case deltacache.StatusHit:
 		e.ctr.memoHits.Inc()
@@ -229,11 +224,11 @@ func (e *Engine) encode(cs *classState, snap encodeSnapshot, req Request, plan R
 // edges; a chain that fails to undercut the document itself is dropped —
 // composition must never cost more than giving up.
 func (e *Engine) encodePlan(cs *classState, snap encodeSnapshot, req Request, plan Reason, now time.Time, tr *obs.Trace) Response {
-	base, format := snap.base, req.Format
+	base := snap.base
 	if plan == ReasonChain {
-		base, format = snap.tipBase, FormatVdelta
+		base = snap.tipBase
 	}
-	payload, gzipped, demoted := e.encodeDelta(base, req, format, tr)
+	payload, gzipped, demoted := e.encodeDelta(base, req, tr)
 	switch {
 	case demoted == ReasonDeltaTooBig:
 		return e.basicRebase(cs, snap, req, now)
@@ -255,35 +250,26 @@ func (e *Engine) encodePlan(cs *classState, snap encodeSnapshot, req Request, pl
 	return e.deltaResponse(cs, snap, req, plan, payload, gzipped)
 }
 
-// encodeDelta encodes req.Doc against base in format and gzips the result
-// when that makes it smaller. It runs with no class lock held: the base
-// bytes and codec index are immutable, so concurrent requests to one class
-// overlap on the encode. demoted is zero when the delta stands, else
+// encodeDelta encodes req.Doc against base as a vdelta delta and gzips the
+// result when that makes it smaller. It runs with no class lock held: the
+// base bytes and codec index are immutable, so concurrent requests to one
+// class overlap on the encode. demoted is zero when the delta stands, else
 // ReasonEncodeError or ReasonDeltaTooBig.
 //
-// The vdelta path encodes into a pooled scratch buffer, replaying what
-// still verifies of the last delta encoded for this URL against this
-// version, and gzips from it, so a steady-state delta response allocates
-// only the returned payload. The payload never aliases pooled memory — it
-// is a fresh gzip output or a fresh copy — which is what lets encode retain
-// it in the memo cache.
-func (e *Engine) encodeDelta(base *baseVersion, req Request, format Format, tr *obs.Trace) (payload []byte, gzipped bool, demoted Reason) {
+// It encodes into a pooled scratch buffer, replaying what still verifies of
+// the last delta encoded for this URL against this version, and gzips from
+// it, so a steady-state delta response allocates only the returned payload.
+// The payload never aliases pooled memory — it is a fresh gzip output or a
+// fresh copy — which is what lets encode retain it in the memo cache.
+func (e *Engine) encodeDelta(base *baseVersion, req Request, tr *obs.Trace) (payload []byte, gzipped bool, demoted Reason) {
 	e.ctr.encodeRuns.Inc()
-	var delta []byte
-	var err error
-	var scratch *encodeBuf // non-nil when delta lives in pooled memory
 	t0 := tr.Now()
-	if format == FormatVCDIFF {
-		delta, err = vcdiff.Encode(base.bytes, req.Doc)
-	} else {
-		scratch = e.getEncodeBuf()
-		defer e.encBufs.Put(scratch)
-		var replayed int
-		delta, replayed, err = e.coder.EncodeHintedInto(base.vdeltaIndex(e.coder), req.Doc, base.hintFor(req.URL), scratch.buf)
-		scratch.buf = delta[:0] // retain grown capacity whatever path follows
-		e.ctr.encodeBytes.Add(int64(len(req.Doc)))
-		e.ctr.encodeReplayed.Add(int64(replayed))
-	}
+	scratch := e.getEncodeBuf()
+	defer e.encBufs.Put(scratch)
+	delta, replayed, err := e.coder.EncodeHintedInto(base.vdeltaIndex(e.coder), req.Doc, base.hintFor(req.URL), scratch.buf)
+	scratch.buf = delta[:0] // retain grown capacity whatever path follows
+	e.ctr.encodeBytes.Add(int64(len(req.Doc)))
+	e.ctr.encodeReplayed.Add(int64(replayed))
 	tr.Record(obs.StageEncode, t0, int64(len(delta)))
 	switch {
 	case err != nil:
@@ -291,9 +277,7 @@ func (e *Engine) encodeDelta(base *baseVersion, req Request, format Format, tr *
 	case float64(len(delta)) > e.cfg.MaxDeltaRatio*float64(len(req.Doc)):
 		return nil, false, ReasonDeltaTooBig
 	}
-	if scratch != nil {
-		base.setHint(req.URL, append([]byte(nil), delta...))
-	}
+	base.setHint(req.URL, append([]byte(nil), delta...))
 
 	t0 = tr.Now()
 	payload = delta
@@ -301,7 +285,7 @@ func (e *Engine) encodeDelta(base *baseVersion, req Request, format Format, tr *
 		payload, gzipped = c, true
 	}
 	tr.Record(obs.StageGzip, t0, int64(len(payload)))
-	if !gzipped && scratch != nil {
+	if !gzipped {
 		// The uncompressed delta is pooled scratch; the payload escapes to
 		// the caller, so it must be a fresh copy.
 		payload = append([]byte(nil), delta...)
@@ -310,8 +294,8 @@ func (e *Engine) encodeDelta(base *baseVersion, req Request, format Format, tr *
 }
 
 // gzipDelta returns delta's gzip member, each vdelta section coded as its
-// own Huffman block (a VCDIFF delta is one block), or nothing when the
-// member would not be shorter than delta.
+// own Huffman block, or nothing when the member would not be shorter than
+// delta.
 func gzipDelta(delta []byte) []byte {
 	s := vdelta.Sections(delta)
 	return gzipx.AppendDelta(nil, s[:]...)
@@ -328,7 +312,7 @@ func (e *Engine) deltaResponse(cs *classState, snap encodeSnapshot, req Request,
 		LatestVersion: e.latestVersion(cs),
 		Payload:       payload,
 		Gzipped:       gzipped,
-		Format:        req.Format,
+		Format:        FormatVdelta,
 		Reason:        why,
 	}
 	if why == ReasonChain {

@@ -3,7 +3,7 @@
 // The paper's economics assume millions of clients share a handful of
 // (class, baseVersion) pairs, so the same delta is encoded over and over.
 // This package turns that repetition into a lookup: the compressed delta
-// for one (fromVersion, document, format) key is computed once and every
+// for one (fromVersion, toVersion, document) key is computed once and every
 // subsequent — or concurrent — request for it shares the same immutable
 // payload bytes.
 //
@@ -43,16 +43,13 @@ import (
 // bytes, or the graph's current version for a composed chain whose cached
 // edges rewrite From up to To. DocHash/DocLen fingerprint the current
 // document content (the final hop — documents arrive per-request, so
-// content stands in for a version number); Format is the wire format
-// (vdelta/VCDIFF/chain). The anonymization epoch is deliberately not part
-// of the key: an epoch bump invalidates the whole cache instead (see
-// Acquire).
+// content stands in for a version number). To alone separates a chain
+// (To > 0) from a direct encode (To == 0), so the key needs no format.
 type Key struct {
 	From    int
 	To      int
 	DocHash uint64
 	DocLen  int
-	Format  uint8
 }
 
 // Result is the shared outcome of one encode. Reason is the engine's
@@ -110,7 +107,6 @@ type Stats struct {
 type Cache struct {
 	mu         sync.Mutex
 	m          map[Key]*Flight
-	epoch      uint64 // anonymization epoch the contents are valid for
 	maxEntries int
 	bytes      int64       // committed payload bytes currently retained
 	onBytes    func(int64) // accounting callback; called under mu
@@ -136,21 +132,13 @@ func New(maxEntries int, onBytes func(int64)) *Cache {
 	}
 }
 
-// Acquire resolves key for the given anonymization epoch.
+// Acquire resolves key.
 //
 //	StatusHit       → res is the committed result; fl is nil.
 //	StatusCoalesced → fl is an in-flight encode; call fl.Wait().
 //	StatusLead      → the caller must encode and call Commit(fl, ...).
-//
-// If epoch differs from the epoch the cache's contents were built under,
-// everything cached is invalidated first, so a stale anonymization state
-// is never served.
-func (c *Cache) Acquire(key Key, epoch uint64) (res Result, fl *Flight, st Status) {
+func (c *Cache) Acquire(key Key) (res Result, fl *Flight, st Status) {
 	c.mu.Lock()
-	if c.epoch != epoch {
-		c.purgeLocked()
-		c.epoch = epoch
-	}
 	if f, ok := c.m[key]; ok {
 		select {
 		case <-f.done:
@@ -225,12 +213,7 @@ func (c *Cache) addBytesLocked(d int64) {
 // waiters; their results just aren't retained.
 func (c *Cache) Purge() int64 {
 	c.mu.Lock()
-	freed := c.purgeLocked()
-	c.mu.Unlock()
-	return freed
-}
-
-func (c *Cache) purgeLocked() int64 {
+	defer c.mu.Unlock()
 	freed := c.bytes
 	if c.bytes != 0 {
 		c.addBytesLocked(-c.bytes)

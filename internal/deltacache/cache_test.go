@@ -11,9 +11,9 @@ import (
 func TestLeadCommitThenHit(t *testing.T) {
 	var ledger int64
 	c := New(8, func(d int64) { ledger += d })
-	key := Key{From: 1, DocHash: 42, DocLen: 100, Format: 1}
+	key := Key{From: 1, DocHash: 42, DocLen: 100}
 
-	res, fl, st := c.Acquire(key, 0)
+	res, fl, st := c.Acquire(key)
 	if st != StatusLead {
 		t.Fatalf("first acquire = %v, want StatusLead", st)
 	}
@@ -26,7 +26,7 @@ func TestLeadCommitThenHit(t *testing.T) {
 		t.Fatalf("ledger = %d after commit, want %d", ledger, len(payload))
 	}
 
-	res, fl2, st := c.Acquire(key, 0)
+	res, fl2, st := c.Acquire(key)
 	if st != StatusHit {
 		t.Fatalf("second acquire = %v, want StatusHit", st)
 	}
@@ -57,7 +57,7 @@ func TestNonDeltaOutcomesSharedButNotRetained(t *testing.T) {
 		var ledger int64
 		c := New(8, func(d int64) { ledger += d })
 		key := Key{From: 2, DocHash: 7}
-		_, fl, st := c.Acquire(key, 0)
+		_, fl, st := c.Acquire(key)
 		if st != StatusLead {
 			t.Fatalf("reason %d: first acquire = %v, want lead", reason, st)
 		}
@@ -68,7 +68,7 @@ func TestNonDeltaOutcomesSharedButNotRetained(t *testing.T) {
 		if ledger != 0 {
 			t.Fatalf("reason %d charged %d bytes", reason, ledger)
 		}
-		if _, _, st := c.Acquire(key, 0); st != StatusLead {
+		if _, _, st := c.Acquire(key); st != StatusLead {
 			t.Fatalf("reason %d was retained: re-acquire = %v, want lead", reason, st)
 		}
 	}
@@ -77,7 +77,7 @@ func TestNonDeltaOutcomesSharedButNotRetained(t *testing.T) {
 func TestCoalescingSharesOneResult(t *testing.T) {
 	c := New(8, nil)
 	key := Key{From: 3, DocHash: 99, DocLen: 5}
-	_, leader, st := c.Acquire(key, 0)
+	_, leader, st := c.Acquire(key)
 	if st != StatusLead {
 		t.Fatalf("acquire = %v, want lead", st)
 	}
@@ -90,7 +90,7 @@ func TestCoalescingSharesOneResult(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			res, fl, st := c.Acquire(key, 0)
+			res, fl, st := c.Acquire(key)
 			started <- struct{}{}
 			switch st {
 			case StatusCoalesced:
@@ -128,9 +128,9 @@ func TestPurgeUnchargesAndUnmapsInFlight(t *testing.T) {
 	c := New(8, func(d int64) { ledger += d })
 
 	// One committed entry and one in-flight entry.
-	_, fl1, _ := c.Acquire(Key{From: 1}, 0)
+	_, fl1, _ := c.Acquire(Key{From: 1})
 	c.Commit(fl1, Result{Reason: 1, Payload: make([]byte, 64)})
-	_, fl2, st := c.Acquire(Key{From: 2}, 0)
+	_, fl2, st := c.Acquire(Key{From: 2})
 	if st != StatusLead {
 		t.Fatalf("acquire = %v, want lead", st)
 	}
@@ -156,25 +156,8 @@ func TestPurgeUnchargesAndUnmapsInFlight(t *testing.T) {
 	if ledger != 0 || c.Stats().Entries != 0 {
 		t.Fatalf("post-purge commit charged (%d bytes, %d entries), want nothing retained", ledger, c.Stats().Entries)
 	}
-	if _, _, st := c.Acquire(Key{From: 2}, 0); st != StatusLead {
+	if _, _, st := c.Acquire(Key{From: 2}); st != StatusLead {
 		t.Fatalf("purged key re-acquire = %v, want lead", st)
-	}
-}
-
-func TestEpochMismatchPurges(t *testing.T) {
-	var ledger int64
-	c := New(8, func(d int64) { ledger += d })
-	key := Key{From: 1, DocHash: 5}
-	_, fl, _ := c.Acquire(key, 0)
-	c.Commit(fl, Result{Reason: 1, Payload: make([]byte, 10)})
-
-	// Same key, newer epoch: the stale entry must not be served.
-	_, _, st := c.Acquire(key, 1)
-	if st != StatusLead {
-		t.Fatalf("acquire at new epoch = %v, want lead (purged)", st)
-	}
-	if ledger != 0 {
-		t.Fatalf("ledger = %d after epoch purge, want 0", ledger)
 	}
 }
 
@@ -182,7 +165,7 @@ func TestCapEvictsCommittedEntries(t *testing.T) {
 	var ledger int64
 	c := New(2, func(d int64) { ledger += d })
 	for i := 0; i < 5; i++ {
-		_, fl, st := c.Acquire(Key{From: i}, 0)
+		_, fl, st := c.Acquire(Key{From: i})
 		if st != StatusLead {
 			t.Fatalf("key %d: acquire = %v, want lead", i, st)
 		}
@@ -206,7 +189,7 @@ func TestConcurrentAcquireCommitPurge(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
 				key := Key{From: i % 40, DocHash: uint64(i % 7)}
-				res, fl, st := c.Acquire(key, uint64(i%3))
+				res, fl, st := c.Acquire(key)
 				switch st {
 				case StatusLead:
 					out := Result{Reason: 1, Payload: []byte(fmt.Sprintf("g%d-i%d", g, i))}

@@ -19,7 +19,6 @@ import (
 	"cbde/internal/bodybuf"
 	"cbde/internal/deltahttp"
 	"cbde/internal/gzipx"
-	"cbde/internal/vcdiff"
 	"cbde/internal/vdelta"
 )
 
@@ -42,12 +41,6 @@ func WithUser(user string) Option {
 // used base-files are evicted. Zero (the default) means unbounded.
 func WithMaxBaseBytes(n int64) Option {
 	return func(cl *Client) { cl.maxBaseBytes = n }
-}
-
-// WithVCDIFF makes the client request and decode RFC 3284 VCDIFF deltas
-// instead of the internal vdelta format.
-func WithVCDIFF() Option {
-	return func(cl *Client) { cl.useVCDIFF = true }
 }
 
 // WithRefreshLag installs a hook that picks which base-file version to
@@ -100,7 +93,6 @@ type Client struct {
 	serverURL  string
 	http       *http.Client
 	user       string
-	useVCDIFF  bool
 	refreshLag func(latest int) int
 
 	maxBaseBytes int64
@@ -150,9 +142,6 @@ func (c *Client) Get(path string) ([]byte, error) {
 	req.Header.Set(deltahttp.HeaderCapable, "1")
 	if c.user != "" {
 		req.Header.Set(deltahttp.HeaderUser, c.user)
-	}
-	if c.useVCDIFF {
-		req.Header.Set(deltahttp.HeaderAccept, deltahttp.EncodingVCDIFF)
 	}
 
 	// Advertise every held base: the client cannot know which class an
@@ -247,9 +236,7 @@ func (c *Client) readDocument(resp *http.Response, classID string) (doc []byte, 
 		c.stats.FullResponses++
 		c.mu.Unlock()
 		return body, nil
-	case deltahttp.EncodingVdelta, deltahttp.EncodingVdeltaGzip,
-		deltahttp.EncodingVCDIFF, deltahttp.EncodingVCDIFFGzip,
-		deltahttp.EncodingVdeltaChain:
+	case deltahttp.EncodingVdelta, deltahttp.EncodingVdeltaGzip, deltahttp.EncodingVdeltaChain:
 		baseVersion, err := strconv.Atoi(resp.Header.Get(deltahttp.HeaderBaseVersion))
 		if err != nil {
 			return nil, fmt.Errorf("deltaclient: delta response lacks a base version")
@@ -257,9 +244,7 @@ func (c *Client) readDocument(resp *http.Response, classID string) (doc []byte, 
 		if enc == deltahttp.EncodingVdeltaChain {
 			doc, err = c.reconstructChain(classID, baseVersion, body)
 		} else {
-			gzipped := enc == deltahttp.EncodingVdeltaGzip || enc == deltahttp.EncodingVCDIFFGzip
-			isVCDIFF := enc == deltahttp.EncodingVCDIFF || enc == deltahttp.EncodingVCDIFFGzip
-			doc, err = c.reconstruct(classID, baseVersion, body, gzipped, isVCDIFF)
+			doc, err = c.reconstruct(classID, baseVersion, body, enc == deltahttp.EncodingVdeltaGzip)
 		}
 		if err != nil {
 			return nil, err
@@ -317,7 +302,7 @@ func (c *Client) reconstructChain(classID string, version int, payload []byte) (
 }
 
 // reconstruct applies a delta response to the held base-file.
-func (c *Client) reconstruct(classID string, version int, payload []byte, gzipped, isVCDIFF bool) ([]byte, error) {
+func (c *Client) reconstruct(classID string, version int, payload []byte, gzipped bool) ([]byte, error) {
 	c.mu.Lock()
 	held, ok := c.bases[classID]
 	if ok {
@@ -340,12 +325,7 @@ func (c *Client) reconstruct(classID string, version int, payload []byte, gzippe
 		}
 		delta = scratch.B
 	}
-	var doc []byte
-	if isVCDIFF {
-		doc, err = vcdiff.Decode(held.data, delta)
-	} else {
-		doc, err = vdelta.Decode(held.data, delta)
-	}
+	doc, err := vdelta.Decode(held.data, delta)
 	if err != nil {
 		return nil, fmt.Errorf("deltaclient: apply delta: %w", err)
 	}

@@ -295,27 +295,3 @@ func TestBoundedBaseCacheKeepsMostRecent(t *testing.T) {
 		t.Errorf("evictions = %d, want 1", got)
 	}
 }
-
-func TestVCDIFFClientEndToEnd(t *testing.T) {
-	s := newStack(t)
-	s.warm(t, 6)
-
-	c := New(s.front.URL, WithUser("rfc3284"), WithVCDIFF())
-	if _, err := c.Get("/laptops/1"); err != nil { // full + base fetch
-		t.Fatal(err)
-	}
-	doc, err := c.Get("/laptops/1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := s.site.Render("laptops", 1, "rfc3284", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(doc, want) {
-		t.Error("VCDIFF reconstruction mismatch")
-	}
-	if got := c.Stats().DeltaResponses; got == 0 {
-		t.Error("no VCDIFF delta responses")
-	}
-}

@@ -27,7 +27,8 @@ const (
 	// HeaderUser carries the user identity (the cookie stand-in).
 	HeaderUser = "X-CBDE-User"
 	// HeaderAccept lists the delta encodings the client can decode
-	// (comma-separated HeaderEncoding values). Absent means vdelta.
+	// (comma-separated HeaderEncoding values). Absent means vdelta; one
+	// that names no vdelta encoding gets plain documents (AcceptsVdelta).
 	HeaderAccept = "X-CBDE-Accept"
 )
 
@@ -71,10 +72,6 @@ const (
 	EncodingVdelta = "vdelta"
 	// EncodingVdeltaGzip is a gzip-compressed vdelta stream.
 	EncodingVdeltaGzip = "vdelta+gzip"
-	// EncodingVCDIFF is an RFC 3284 VCDIFF stream.
-	EncodingVCDIFF = "vcdiff"
-	// EncodingVCDIFFGzip is a gzip-compressed VCDIFF stream.
-	EncodingVCDIFFGzip = "vcdiff+gzip"
 	// EncodingVdeltaChain is a framed sequence of vdelta deltas (see
 	// AppendChain) the client applies in order: segment 1 rewrites the held
 	// base to the next retained version, and so on up the class's version
@@ -82,10 +79,19 @@ const (
 	EncodingVdeltaChain = "vdelta-chain"
 )
 
-// AcceptsVCDIFF reports whether an HeaderAccept value includes VCDIFF.
-func AcceptsVCDIFF(accept string) bool {
+// AcceptsVdelta reports whether a client sending the HeaderAccept value
+// accept can decode the server's payloads: an absent (empty) header means
+// vdelta, and otherwise some comma-separated token must name a vdelta
+// encoding. A client that can decode none of them — one speaking another
+// delta format — must be served exactly like a client without
+// HeaderCapable, so it never receives bytes it cannot decode.
+func AcceptsVdelta(accept string) bool {
+	if accept == "" {
+		return true
+	}
 	for _, part := range strings.Split(accept, ",") {
-		if strings.TrimSpace(part) == EncodingVCDIFF {
+		switch strings.TrimSpace(part) {
+		case EncodingVdelta, EncodingVdeltaGzip, EncodingVdeltaChain:
 			return true
 		}
 	}

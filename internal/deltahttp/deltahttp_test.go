@@ -100,19 +100,21 @@ func TestParseHaveMalformed(t *testing.T) {
 	}
 }
 
-func TestAcceptsVCDIFF(t *testing.T) {
+func TestAcceptsVdelta(t *testing.T) {
 	cases := map[string]bool{
-		"":                     false,
-		"vdelta":               false,
-		"vcdiff":               true,
-		"vdelta, vcdiff":       true,
+		"":                     true, // absent means vdelta
+		"vdelta":               true,
+		"vdelta+gzip":          true,
+		"vdelta-chain":         true,
 		" vcdiff ,vdelta+gzip": true,
-		"vcdiff+gzip":          false, // exact token required
-		"notvcdiff":            false,
+		"vcdiff":               false,
+		"vcdiff+gzip":          false,
+		"notvdelta":            false, // exact token required
+		",":                    false,
 	}
 	for in, want := range cases {
-		if got := AcceptsVCDIFF(in); got != want {
-			t.Errorf("AcceptsVCDIFF(%q) = %v, want %v", in, got, want)
+		if got := AcceptsVdelta(in); got != want {
+			t.Errorf("AcceptsVdelta(%q) = %v, want %v", in, got, want)
 		}
 	}
 }

@@ -684,15 +684,12 @@ func (s *Server) serveDocumentLocal(w http.ResponseWriter, r *http.Request, rec 
 		Doc:      doc,
 		TraceCtx: ctx,
 	}
-	if r.Header.Get(deltahttp.HeaderCapable) != "" {
+	if r.Header.Get(deltahttp.HeaderCapable) != "" && deltahttp.AcceptsVdelta(r.Header.Get(deltahttp.HeaderAccept)) {
 		if rec != nil {
 			rec.capable = true
 		}
 		for _, h := range deltahttp.ParseHave(r.Header.Get(deltahttp.HeaderHave)) {
 			req.Held = append(req.Held, core.HeldBase{ClassID: h.ClassID, Version: h.Version})
-		}
-		if deltahttp.AcceptsVCDIFF(r.Header.Get(deltahttp.HeaderAccept)) {
-			req.Format = core.FormatVCDIFF
 		}
 	}
 
@@ -735,10 +732,6 @@ func (s *Server) serveDocumentLocal(w http.ResponseWriter, r *http.Request, rec 
 			// itself is never wrapped in an outer gzip layer.
 			enc = deltahttp.EncodingVdeltaChain
 			h.Set(deltahttp.HeaderChainLength, strconv.Itoa(resp.ChainLen))
-		case resp.Format == core.FormatVCDIFF && resp.Gzipped:
-			enc = deltahttp.EncodingVCDIFFGzip
-		case resp.Format == core.FormatVCDIFF:
-			enc = deltahttp.EncodingVCDIFF
 		case resp.Gzipped:
 			enc = deltahttp.EncodingVdeltaGzip
 		}

@@ -390,6 +390,10 @@ func TestMultiBaseAdvertisement(t *testing.T) {
 	}
 }
 
+// TestVCDIFFNegotiation: the server speaks only vdelta, so a capable client
+// whose X-CBDE-Accept names no vdelta encoding (here an RFC 3284 client) is
+// served like a non-capable one — the exact document, no delta headers —
+// while an Accept naming vdelta, or none at all, still gets deltas.
 func TestVCDIFFNegotiation(t *testing.T) {
 	site, _, front := newStack(t, core.Config{Anon: anonymize.Config{M: 1, N: 2}})
 	classID, version := warm(t, front.URL, 4)
@@ -397,27 +401,51 @@ func TestVCDIFFNegotiation(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatal("base fetch failed")
 	}
-	resp, payload := doGet(t, front.URL+"/laptops/1", map[string]string{
-		deltahttp.HeaderCapable: "1",
-		deltahttp.HeaderUser:    "std",
-		deltahttp.HeaderAccept:  deltahttp.EncodingVCDIFF,
-		deltahttp.HeaderHave:    haveHeader(classID, version),
-	})
-	enc := resp.Header.Get(deltahttp.HeaderEncoding)
-	if enc != deltahttp.EncodingVCDIFF && enc != deltahttp.EncodingVCDIFFGzip {
-		t.Fatalf("encoding = %q, want a VCDIFF variant", enc)
+	get := func(user, accept string) (*http.Response, []byte) {
+		hdr := map[string]string{
+			deltahttp.HeaderCapable: "1",
+			deltahttp.HeaderUser:    user,
+			deltahttp.HeaderHave:    haveHeader(classID, version),
+		}
+		if accept != "" {
+			hdr[deltahttp.HeaderAccept] = accept
+		}
+		return doGet(t, front.URL+"/laptops/1", hdr)
 	}
+
+	resp, body := get("std", "vcdiff")
+	if enc := resp.Header.Get(deltahttp.HeaderEncoding); enc != "" {
+		t.Fatalf("vcdiff-only client got encoding %q, want a plain document", enc)
+	}
+	if bv := resp.Header.Get(deltahttp.HeaderBaseVersion); bv != "" {
+		t.Errorf("vcdiff-only client got %s %q", deltahttp.HeaderBaseVersion, bv)
+	}
+	want, err := site.Render("laptops", 1, "std", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(body, want) {
+		t.Error("vcdiff-only client did not receive the exact document")
+	}
+
 	eng, err := core.NewEngine(core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	doc, err := eng.DecodeAs(base, payload, enc == deltahttp.EncodingVCDIFFGzip, core.FormatVCDIFF)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, _ := site.Render("laptops", 1, "std", 0)
-	if !bytes.Equal(doc, want) {
-		t.Error("VCDIFF response does not reconstruct the document")
+	for _, accept := range []string{deltahttp.EncodingVdelta, ""} {
+		user := "accept-" + accept
+		resp, payload := get(user, accept)
+		enc := resp.Header.Get(deltahttp.HeaderEncoding)
+		if enc != deltahttp.EncodingVdelta && enc != deltahttp.EncodingVdeltaGzip {
+			t.Fatalf("Accept %q: encoding = %q, want a vdelta delta", accept, enc)
+		}
+		doc, err := eng.Decode(base, payload, enc == deltahttp.EncodingVdeltaGzip)
+		if err != nil {
+			t.Fatalf("Accept %q: %v", accept, err)
+		}
+		if want, _ := site.Render("laptops", 1, user, 0); !bytes.Equal(doc, want) {
+			t.Errorf("Accept %q: delta does not reconstruct the document", accept)
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"math/rand/v2"
+	"sort"
 	"strings"
 	"time"
 
@@ -17,7 +18,7 @@ import (
 type ChunkSizeRow struct {
 	ChunkSize  int
 	DeltaBytes int
-	EncodeMs   float64
+	EncodeMs   float64 // median of warm encodes
 }
 
 // AblateChunkSize sweeps the Vdelta chunk width over a 50-60 KB document
@@ -45,22 +46,30 @@ func AblateChunkSize(sizes []int) ([]ChunkSizeRow, error) {
 		return nil, err
 	}
 
+	// The first Encode on a fresh Coder builds its pooled index and buffers,
+	// so it is run untimed; each rep is then timed alone and the median
+	// reported, which one slow rep cannot move.
+	const reps = 10
 	var rows []ChunkSizeRow
 	for _, w := range sizes {
 		coder := vdelta.NewCoder(vdelta.WithChunkSize(w))
-		const reps = 10
-		start := time.Now()
-		var delta []byte
-		for i := 0; i < reps; i++ {
-			delta, err = coder.Encode(base, target)
-			if err != nil {
+		delta, err := coder.Encode(base, target)
+		if err != nil {
+			return nil, err
+		}
+		ms := make([]float64, reps)
+		for i := range ms {
+			start := time.Now()
+			if _, err := coder.Encode(base, target); err != nil {
 				return nil, err
 			}
+			ms[i] = float64(time.Since(start).Nanoseconds()) / 1e6
 		}
+		sort.Float64s(ms)
 		rows = append(rows, ChunkSizeRow{
 			ChunkSize:  w,
 			DeltaBytes: len(delta),
-			EncodeMs:   float64(time.Since(start).Microseconds()) / 1000 / reps,
+			EncodeMs:   (ms[reps/2-1] + ms[reps/2]) / 2,
 		})
 	}
 	return rows, nil

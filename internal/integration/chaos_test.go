@@ -16,10 +16,10 @@ import (
 )
 
 // TestChaos interleaves everything that can happen in production — content
-// churn, rebases, cold clients, cache forgets, bounded caches, VCDIFF and
-// vdelta clients, concurrent access through a small proxy — and asserts the
-// one invariant that may never break: every client always receives the
-// byte-exact personalized document.
+// churn, rebases, cold clients, cache forgets, bounded caches, concurrent
+// access through a small proxy — and asserts the one invariant that may
+// never break: every client always receives the byte-exact personalized
+// document.
 func TestChaos(t *testing.T) {
 	c := newChain(t, core.Config{
 		Anon:          anonymize.Config{M: 1, N: 2},
@@ -56,9 +56,6 @@ func TestChaos(t *testing.T) {
 			rng := rand.New(rand.NewPCG(uint64(w), 1234))
 			user := fmt.Sprintf("chaos-%d", w)
 			opts := []deltaclient.Option{deltaclient.WithUser(user)}
-			if w%3 == 1 {
-				opts = append(opts, deltaclient.WithVCDIFF())
-			}
 			serverURL := c.proxyURL
 			if w%3 == 2 {
 				// Bounded browser cache, behind the eviction-prone proxy.

@@ -38,8 +38,6 @@ type Config struct {
 	RequestsPerClient int
 	// UserPrefix names client identities ("<prefix>-<n>"). Default "load".
 	UserPrefix string
-	// VCDIFF requests RFC 3284 payloads.
-	VCDIFF bool
 	// Verify re-fetches every document as a plain (non-capable) client
 	// with the same user identity and byte-compares it against the
 	// delta-path reconstruction; differences count as Result.Mismatches.
@@ -175,9 +173,6 @@ func Run(cfg Config) (Result, error) {
 			user := fmt.Sprintf("%s-%d", cfg.UserPrefix, c)
 			server := cfg.ServerURLs[c%len(cfg.ServerURLs)]
 			opts := []deltaclient.Option{deltaclient.WithUser(user)}
-			if cfg.VCDIFF {
-				opts = append(opts, deltaclient.WithVCDIFF())
-			}
 			rng := rand.New(rand.NewSource(int64(c) + 1))
 			if cfg.LagMean > 0 {
 				// The hook runs on this client's goroutine (deltaclient.Get

@@ -97,26 +97,6 @@ func TestRunBasics(t *testing.T) {
 	}
 }
 
-func TestRunVCDIFF(t *testing.T) {
-	url := newServer(t)
-	res, err := Run(Config{
-		ServerURL:         url,
-		Paths:             []string{"/catalog/0"},
-		Clients:           2,
-		RequestsPerClient: 6,
-		VCDIFF:            true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Errors != 0 {
-		t.Errorf("errors = %d under VCDIFF", res.Errors)
-	}
-	if res.DeltaResponses == 0 {
-		t.Error("no VCDIFF deltas")
-	}
-}
-
 // TestRunVerifyUnderBudget drives a budgeted delta-server with more classes
 // than its budget holds while byte-comparing every reconstruction against a
 // plain re-fetch: eviction churn must never corrupt a served document. This

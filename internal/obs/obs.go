@@ -40,7 +40,7 @@ const (
 	// plus, for coalesced requests, the wait for the leader's encode.
 	// Zero when the cache is disabled or the request misses cold.
 	StageMemo
-	// StageEncode is the vdelta/VCDIFF delta encode.
+	// StageEncode is the vdelta delta encode.
 	StageEncode
 	// StageGzip is delta compression.
 	StageGzip

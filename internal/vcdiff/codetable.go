@@ -2,11 +2,11 @@
 // RFC 3284 (Korn & Vo) — reference [12] of the paper and the
 // standardization of the Vdelta lineage the paper builds on.
 //
-// The package provides a complete decoder for the default code table
-// (without secondary compression or application headers), and an encoder
-// that translates deltas produced by the internal vdelta codec into
-// interoperable VCDIFF streams. Delta-servers can therefore speak the
-// standard format to clients that expect it.
+// The package provides an encoder that translates deltas produced by the
+// internal vdelta codec into VCDIFF streams, so the experiments can set the
+// standard format beside the vdelta wire format (cmd/experiments -table
+// formats). Delta-servers speak only vdelta. The package's tests hold a
+// decoder for the default code table, the encoder's round-trip oracle.
 package vcdiff
 
 // Instruction types (RFC 3284 section 5.4).
@@ -143,31 +143,4 @@ func (c *addressCache) encodeMode(addr, here int) (mode int, value int, sameByte
 		return 2 + sNear + addr%(sSame*256)/256, addr % 256, true
 	}
 	return bestMode, bestValue, false
-}
-
-// decodeAddr decodes an address for the given mode, per section 5.3.
-func (c *addressCache) decodeAddr(mode, here int, readVarint func() (int, error), readByte func() (byte, error)) (int, error) {
-	switch {
-	case mode == modeSelf:
-		return readVarint()
-	case mode == modeHere:
-		v, err := readVarint()
-		if err != nil {
-			return 0, err
-		}
-		return here - v, nil
-	case mode >= 2 && mode < 2+sNear:
-		v, err := readVarint()
-		if err != nil {
-			return 0, err
-		}
-		return c.near[mode-2] + v, nil
-	default: // same modes
-		m := mode - (2 + sNear)
-		b, err := readByte()
-		if err != nil {
-			return 0, err
-		}
-		return c.same[m*256+int(b)], nil
-	}
 }

@@ -138,41 +138,3 @@ func encodeOps(ops []vdelta.Op, sourceLen, targetLen int) []byte {
 	out = append(out, win...)
 	return out
 }
-
-// DefaultWindowSize is the per-window target size EncodeWindowed uses when
-// none is given. RFC 3284 recommends windowing large targets so decoders
-// can bound their memory.
-const DefaultWindowSize = 1 << 20 // 1 MiB
-
-// EncodeWindowed produces a VCDIFF delta whose target is split into
-// windows of at most windowSize bytes, each encoded against the full
-// source. Windowing bounds decoder memory for large documents; for targets
-// up to one window it is identical to Encode.
-func EncodeWindowed(source, target []byte, windowSize int) ([]byte, error) {
-	if windowSize <= 0 {
-		windowSize = DefaultWindowSize
-	}
-	if windowSize > MaxWindowTarget {
-		windowSize = MaxWindowTarget
-	}
-	if len(target) <= windowSize {
-		return Encode(source, target)
-	}
-
-	out := make([]byte, 0, len(target)/8)
-	out = append(out, headerMagic...)
-	out = append(out, 0) // header indicator
-	for start := 0; start < len(target); start += windowSize {
-		end := start + windowSize
-		if end > len(target) {
-			end = len(target)
-		}
-		chunk, err := Encode(source, target[start:end])
-		if err != nil {
-			return nil, err
-		}
-		// Strip the per-chunk file header; keep the window.
-		out = append(out, chunk[5:]...)
-	}
-	return out, nil
-}

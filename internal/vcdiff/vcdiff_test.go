@@ -146,7 +146,7 @@ func TestDecodeErrors(t *testing.T) {
 	t.Run("bad magic", func(t *testing.T) {
 		bad := append([]byte{}, delta...)
 		bad[0] = 'X'
-		if _, err := Decode(source, bad); !errors.Is(err, ErrCorrupt) {
+		if _, err := Decode(source, bad); !errors.Is(err, errCorrupt) {
 			t.Errorf("got %v", err)
 		}
 	})
@@ -160,12 +160,12 @@ func TestDecodeErrors(t *testing.T) {
 	t.Run("secondary compression unsupported", func(t *testing.T) {
 		bad := append([]byte{}, delta...)
 		bad[4] = 0x01
-		if _, err := Decode(source, bad); !errors.Is(err, ErrUnsupported) {
+		if _, err := Decode(source, bad); !errors.Is(err, errUnsupported) {
 			t.Errorf("got %v", err)
 		}
 	})
 	t.Run("shorter source fails", func(t *testing.T) {
-		if _, err := Decode(source[:4], delta); !errors.Is(err, ErrCorrupt) {
+		if _, err := Decode(source[:4], delta); !errors.Is(err, errCorrupt) {
 			t.Errorf("got %v", err)
 		}
 	})
@@ -293,65 +293,5 @@ func TestAddressCacheModes(t *testing.T) {
 	// than the target.
 	if len(delta) > len(target)/2 {
 		t.Errorf("delta %d bytes for %d-byte cache-friendly target", len(delta), len(target))
-	}
-}
-
-func TestEncodeWindowed(t *testing.T) {
-	rng := rand.New(rand.NewPCG(88, 2))
-	source := make([]byte, 30_000)
-	for i := range source {
-		source[i] = byte('a' + rng.IntN(26))
-	}
-	// Target: three copies of the source with edits — larger than the
-	// window size, so multiple windows are required.
-	target := append(append(append([]byte{}, source...), source...), source...)
-	for i := 0; i < 30; i++ {
-		target[rng.IntN(len(target))] = '!'
-	}
-
-	const window = 16_384
-	delta, err := EncodeWindowed(source, target, window)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := Decode(source, delta)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, target) {
-		t.Fatal("windowed round trip mismatch")
-	}
-	// The stream must actually contain multiple windows: strictly more
-	// VCD_SOURCE window indicators than a single-window encode.
-	single, err := Encode(source, target)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(delta) == len(single) {
-		t.Error("windowed encode produced a single window")
-	}
-	// Still far smaller than the target for this self-similar content.
-	if len(delta) > len(target)/4 {
-		t.Errorf("windowed delta %d bytes for %d-byte target", len(delta), len(target))
-	}
-}
-
-func TestEncodeWindowedSmallTargetEqualsEncode(t *testing.T) {
-	source := []byte("small source")
-	target := []byte("small source, slightly longer")
-	a, err := EncodeWindowed(source, target, 1<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Encode(source, target)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a, b) {
-		t.Error("single-window EncodeWindowed differs from Encode")
-	}
-	// Invalid window sizes fall back to defaults.
-	if _, err := EncodeWindowed(source, target, -1); err != nil {
-		t.Fatal(err)
 	}
 }
